@@ -40,14 +40,6 @@ tracks the *repo's own* performance trajectory.  It measures:
   invalidate in the reference), crossing tenants are mass-rerouted or
   released as disrupted, and each recovery is a decrease-from-infinity
   reinsert;
-- ``online_many_rows_kernel_s`` / ``online_dense_patch_kernel_s``: the
-  same two tracked traces replayed under the oracle's raw-speed kernel
-  tier (``parallel_rows=cpu_count, vectorized=True``) -- the acceptance
-  metric for the kernel-tier PR.  The serial list-backed runs above stay
-  the reference; the kernel runs must match their forest costs exactly
-  (drift 0.0, identical acceptance decisions).  Worker-pool spawn is
-  warmed outside the timed windows (``kernel.warm_fork``), the same way
-  topology generation is excluded;
 - ``online_budget_s`` / ``online_budget_unbounded_s``: a 50k-node Inet
   churn trace replayed with the oracle's row-cache residency budgeted to
   exactly the VM-pool rows (``row_budget_bytes``, the RowCache layer)
@@ -58,7 +50,7 @@ tracks the *repo's own* performance trajectory.  It measures:
   identical acceptance decisions, because evicted rows recompute to
   identical labels;
 - ``online_churn_phases`` / ``online_many_rows_phases``: per-phase
-  attribution (build / repair / query / fork seconds, via the
+  attribution (build / repair / query seconds, via the
   :mod:`repro.obs` registry's ``phase_breakdown``) from one metrics-on
   replay of each tracked trace.  The recorder never rides inside a timed
   window -- the strict anchors stay metrics-off -- and the metered
@@ -67,10 +59,7 @@ tracks the *repo's own* performance trajectory.  It measures:
   must be exactly 0.0 with identical acceptance decisions);
 - ``sweep_slice_s`` / ``sweep_serial_s``: a small ``run_sweep`` slice with
   ``workers=4`` vs serial (speedup needs a multi-core runner; single-core
-  CI only checks the outputs match);
-- ``sweep_algo_s``: the same slice with ``algo_workers=4`` (per-algorithm
-  dispatch inside each cell on the shared fork pool), cross-checked
-  against the serial outputs.
+  CI only checks the outputs match).
 
 Results are appended to ``BENCH_perf_core.json`` under the ``"latest"``
 key; the checked-in ``"seed"`` entry preserves the pre-refactor numbers so
@@ -87,9 +76,7 @@ trace's incremental run must stay bit-identical (costs *and* acceptance
 decisions) to the full-invalidate reference across its decrease batches,
 and the failure trace's topology patches must stay bit-identical (costs,
 acceptances, reroutes, *and* disruptions) to the same reference, and the
-kernel-tier runs must stay bit-identical (drift exactly 0.0, identical
-acceptance decisions) to their serial list-backed references on both
-tracked traces, and the budgeted 50k-node churn trace must stay under
+budgeted 50k-node churn trace must stay under
 its row-cache byte budget with drift exactly 0.0 and identical
 acceptance decisions versus the unbounded reference.
 """
@@ -108,7 +95,7 @@ from _util import shape_check
 from repro.core.problem import ServiceChain
 from repro.core.sofda import sofda
 from repro.experiments import run_sweep
-from repro.graph import FrozenOracle, Graph, kernel
+from repro.graph import FrozenOracle, Graph
 from repro.graph.graph import edge_sort_key
 from repro.graph.shortest_paths import dijkstra
 from repro.online import OnlineSimulator, RequestGenerator
@@ -171,10 +158,7 @@ def _run_online_trace(incremental: bool):
     return costs, elapsed
 
 
-def _run_many_rows_trace(
-    planner: bool, parallel_rows: int = 0, vectorized: bool = False,
-    metrics=None,
-):
+def _run_many_rows_trace(planner: bool, metrics=None):
     """Replay 4 light requests against a 1250-VM pool.
 
     The many-cached-rows case the patch planner exists for: every request
@@ -182,24 +166,21 @@ def _run_many_rows_trace(
     ~1250-row cache.  Requests are deliberately light (1 source, 2-3
     destinations, 1 service) so the repair engine -- not the embedder --
     dominates the loop; the per-row reference pays its O(rows x nodes)
-    children-list build here, the planner never does.  Setup -- including
-    the kernel tier's one-time worker-pool spawn -- stays outside the
-    timed window.  Returns ``(costs, elapsed_seconds)``.
+    children-list build here, the planner never does.  Setup stays
+    outside the timed window.  Returns ``(costs, elapsed_seconds)``.
     """
     network = inet_network(
         num_nodes=5000, num_links=10000, num_datacenters=250, seed=0
     )
     simulator = OnlineSimulator(
         network, vms_per_datacenter=5, incremental=True, planner=planner,
-        parallel_rows=parallel_rows, vectorized=vectorized, metrics=metrics,
+        metrics=metrics,
     )
     generator = RequestGenerator(
         network, seed=0, destinations_range=(2, 3), sources_range=(1, 1),
         chain_length=1,
     )
     requests = generator.take(4)
-    if parallel_rows > 1:
-        kernel.warm_fork(parallel_rows)
     gc.collect()  # the timed window should not pay for earlier sections
     start = time.perf_counter()
     costs = [
@@ -210,8 +191,7 @@ def _run_many_rows_trace(
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
         f"many-rows trace requests {rejected} were rejected "
-        f"(planner={planner}, parallel_rows={parallel_rows}, "
-        f"vectorized={vectorized}); the trace must embed all 4"
+        f"(planner={planner}); the trace must embed all 4"
     )
     return costs, elapsed
 
@@ -252,9 +232,7 @@ def _dense_patch_network():
     return CloudNetwork(name="dense-pods", graph=graph, datacenters=dcs)
 
 
-def _run_dense_patch_trace(
-    share: bool, parallel_rows: int = 0, vectorized: bool = False
-):
+def _run_dense_patch_trace(share: bool):
     """Replay a churn-heavy online trace over the hub-and-pods topology.
 
     Between embeddings, background (cross-tenant) load keeps re-pricing a
@@ -274,7 +252,6 @@ def _run_dense_patch_trace(
     simulator = OnlineSimulator(
         network, vms_per_datacenter=5, incremental=True, planner=True,
         share_regions=share,
-        parallel_rows=parallel_rows, vectorized=vectorized,
     )
     rng = random.Random(7)
     pod_internals = sorted(
@@ -294,8 +271,6 @@ def _run_dense_patch_trace(
     requests = generator.take(_DENSE_REQUESTS)
     uplinks = [("hub", ("gw", i)) for i in range(_DENSE_PODS)]
     costs = [simulator.embed(requests[0], lambda inst: sofda(inst).forest)]
-    if parallel_rows > 1:
-        kernel.warm_fork(parallel_rows)
     gc.collect()  # the timed window should not pay for earlier sections
     start = time.perf_counter()
     tick = 0
@@ -312,9 +287,7 @@ def _run_dense_patch_trace(
     rejected = [i for i, cost in enumerate(costs) if cost is None]
     assert not rejected, (
         f"dense-patch trace requests {rejected} were rejected "
-        f"(share={share}, parallel_rows={parallel_rows}, "
-        f"vectorized={vectorized}); the trace must embed all "
-        f"{_DENSE_REQUESTS}"
+        f"(share={share}); the trace must embed all {_DENSE_REQUESTS}"
     )
     return costs, elapsed
 
@@ -575,20 +548,18 @@ def _run_budget_trace(row_budget_bytes):
     return result, elapsed
 
 
-def _run_sweep_slice(network, workers: int, algo_workers: int = 1):
+def _run_sweep_slice(network, workers: int):
     """One tracked sweep slice; returns ``(result, elapsed_seconds)``.
 
     Large enough (12 cells, near-default instance shapes) that per-cell
     work amortizes fork-pool startup on a multi-core runner.
     """
-    if workers > 1 or algo_workers > 1:
-        kernel.warm_fork(max(workers, algo_workers))
     start = time.perf_counter()
     result = run_sweep(
         network, "num_vms", [5, 15, 25], seeds=4,
         overrides={"num_sources": 6, "num_destinations": 4,
                    "chain_length": 3},
-        workers=workers, algo_workers=algo_workers,
+        workers=workers,
     )
     return result, time.perf_counter() - start
 
@@ -632,37 +603,22 @@ def run_perf_core() -> dict:
 
     # Interleaved best-of-two: the planner-vs-per-row ratio is the PR-3
     # acceptance metric, and a single ~35 s run on a shared machine can
-    # absorb a load spike on either side of the comparison.  The kernel
-    # run (parallel rows + vectorized labels, the kernel-tier acceptance
-    # metric) rides the same interleave against the same serial planner
-    # reference.
-    kernel_rows = os.cpu_count() or 1
+    # absorb a load spike on either side of the comparison.
     many_rows_perrow_s = many_rows_planner_s = float("inf")
-    many_rows_kernel_s = float("inf")
     for _ in range(2):
         perrow_costs, elapsed = _run_many_rows_trace(planner=False)
         many_rows_perrow_s = min(many_rows_perrow_s, elapsed)
         planner_costs, elapsed = _run_many_rows_trace(planner=True)
         many_rows_planner_s = min(many_rows_planner_s, elapsed)
-        kernel_costs, elapsed = _run_many_rows_trace(
-            planner=True, parallel_rows=kernel_rows, vectorized=True
-        )
-        many_rows_kernel_s = min(many_rows_kernel_s, elapsed)
 
     # Same interleaved best-of-two for the shared-vs-unshared ratio, the
-    # region-sharing acceptance metric, plus the kernel run over the
-    # shared configuration.
+    # region-sharing acceptance metric.
     dense_unshared_s = dense_shared_s = float("inf")
-    dense_kernel_s = float("inf")
     for _ in range(2):
         unshared_costs, elapsed = _run_dense_patch_trace(share=False)
         dense_unshared_s = min(dense_unshared_s, elapsed)
         shared_costs, elapsed = _run_dense_patch_trace(share=True)
         dense_shared_s = min(dense_shared_s, elapsed)
-        dense_kernel_costs, elapsed = _run_dense_patch_trace(
-            share=True, parallel_rows=kernel_rows, vectorized=True
-        )
-        dense_kernel_s = min(dense_kernel_s, elapsed)
 
     # Interleaved best-of-two again for the churn incremental-vs-
     # invalidate ratio, the workload-engine acceptance metric.
@@ -718,9 +674,6 @@ def run_perf_core() -> dict:
     sweep_network = softlayer_network(seed=1)
     sweep_serial, sweep_serial_s = _run_sweep_slice(sweep_network, workers=1)
     sweep_pooled, sweep_pooled_s = _run_sweep_slice(sweep_network, workers=4)
-    sweep_algo, sweep_algo_s = _run_sweep_slice(
-        sweep_network, workers=1, algo_workers=4
-    )
 
     return {
         "dict_dijkstra_ms": round(dict_ms, 3),
@@ -736,33 +689,16 @@ def run_perf_core() -> dict:
         ),
         "online_many_rows_s": round(many_rows_planner_s, 4),
         "online_many_rows_perrow_s": round(many_rows_perrow_s, 4),
-        "online_many_rows_kernel_s": round(many_rows_kernel_s, 4),
         "online_many_rows_cost": sum(planner_costs),
         "online_many_rows_planner_drift": max(
             abs(a - b) for a, b in zip(planner_costs, perrow_costs)
         ),
-        "online_many_rows_kernel_drift": max(
-            abs(a - b) for a, b in zip(kernel_costs, planner_costs)
-        ),
-        "online_many_rows_kernel_decisions_match": (
-            [c is None for c in kernel_costs]
-            == [c is None for c in planner_costs]
-        ),
         "online_dense_patch_s": round(dense_shared_s, 4),
         "online_dense_patch_unshared_s": round(dense_unshared_s, 4),
-        "online_dense_patch_kernel_s": round(dense_kernel_s, 4),
         "online_dense_patch_cost": sum(shared_costs),
         "online_dense_patch_share_drift": max(
             abs(a - b) for a, b in zip(shared_costs, unshared_costs)
         ),
-        "online_dense_patch_kernel_drift": max(
-            abs(a - b) for a, b in zip(dense_kernel_costs, shared_costs)
-        ),
-        "online_dense_patch_kernel_decisions_match": (
-            [c is None for c in dense_kernel_costs]
-            == [c is None for c in shared_costs]
-        ),
-        "kernel_parallel_rows": kernel_rows,
         "online_churn_s": round(churn_patch_s, 4),
         "online_churn_invalidate_s": round(churn_invalidate_s, 4),
         "online_churn_cost": churn_patched.total_cost,
@@ -846,14 +782,9 @@ def run_perf_core() -> dict:
         ),
         "sweep_slice_s": round(sweep_pooled_s, 4),
         "sweep_serial_s": round(sweep_serial_s, 4),
-        "sweep_algo_s": round(sweep_algo_s, 4),
         "sweep_outputs_match": (
             sweep_pooled.mean_cost == sweep_serial.mean_cost
             and sweep_pooled.mean_vms_used == sweep_serial.mean_vms_used
-        ),
-        "sweep_algo_outputs_match": (
-            sweep_algo.mean_cost == sweep_serial.mean_cost
-            and sweep_algo.mean_vms_used == sweep_serial.mean_vms_used
         ),
     }
 
@@ -871,8 +802,7 @@ def test_perf_core(once):
     print("\nPerf core -- seed vs latest")
     for key in ("dict_dijkstra_ms", "oracle_row_ms", "sofda_largest_s",
                 "online_trace_s", "online_many_rows_s",
-                "online_many_rows_kernel_s", "online_dense_patch_s",
-                "online_dense_patch_kernel_s", "online_churn_s",
+                "online_dense_patch_s", "online_churn_s",
                 "online_failures_s", "online_budget_s", "sweep_slice_s"):
         before = seed.get(key)
         after = measured[key]
@@ -892,15 +822,6 @@ def test_perf_core(once):
         f"  dense-patch trace: unshared {measured['online_dense_patch_unshared_s']}s"
         f" -> shared {measured['online_dense_patch_s']}s"
         f" ({measured['online_dense_patch_unshared_s'] / measured['online_dense_patch_s']:.2f}x)"
-    )
-    print(
-        f"  kernel tier (parallel_rows={measured['kernel_parallel_rows']},"
-        f" vectorized): many-rows {measured['online_many_rows_s']}s"
-        f" -> {measured['online_many_rows_kernel_s']}s"
-        f" ({measured['online_many_rows_s'] / measured['online_many_rows_kernel_s']:.2f}x),"
-        f" dense-patch {measured['online_dense_patch_s']}s"
-        f" -> {measured['online_dense_patch_kernel_s']}s"
-        f" ({measured['online_dense_patch_s'] / measured['online_dense_patch_kernel_s']:.2f}x)"
     )
     print(
         f"  churn trace: invalidate {measured['online_churn_invalidate_s']}s"
@@ -941,11 +862,6 @@ def test_perf_core(once):
         f" ({measured['sweep_serial_s'] / measured['sweep_slice_s']:.2f}x,"
         " needs a multi-core runner)"
     )
-    print(
-        f"  sweep slice: algo_workers=4 {measured['sweep_algo_s']}s"
-        f" ({measured['sweep_serial_s'] / measured['sweep_algo_s']:.2f}x,"
-        " needs a multi-core runner)"
-    )
 
     # Correctness anchors -- hard failures under SOF_PERF_STRICT=1.
     cost_ok = (
@@ -968,16 +884,6 @@ def test_perf_core(once):
         seed.get("online_many_rows_cost") is None
         or abs(measured["online_many_rows_cost"]
                - seed["online_many_rows_cost"]) <= 1e-6
-    )
-    # The kernel tier only ever serves rows the serial path would have
-    # served (row-serving identity), so both kernel runs must not diverge
-    # from their serial references by even an ulp -- in costs or in
-    # acceptance decisions.
-    kernel_ok = (
-        measured["online_many_rows_kernel_drift"] == 0.0
-        and measured["online_many_rows_kernel_decisions_match"]
-        and measured["online_dense_patch_kernel_drift"] == 0.0
-        and measured["online_dense_patch_kernel_decisions_match"]
     )
     # Region sharing reuses verified-identical detached regions, so the
     # dense-patch trace must not diverge from the unshared planned path
@@ -1041,10 +947,6 @@ def test_perf_core(once):
         assert many_rows_baseline_ok, (
             "many-rows trace cost drifted from the baseline"
         )
-        assert kernel_ok, (
-            "kernel-tier run (parallel rows + vectorized labels) "
-            "diverged from the serial reference"
-        )
         assert share_ok, (
             "region-shared repair diverged from the unshared planned "
             "path on the dense-patch trace"
@@ -1074,9 +976,6 @@ def test_perf_core(once):
             "reference or exceeded its row-cache byte budget"
         )
         assert measured["sweep_outputs_match"], "pooled sweep != serial sweep"
-        assert measured["sweep_algo_outputs_match"], (
-            "algo-parallel sweep != serial sweep"
-        )
     shape_check("forest cost unchanged on the seeded largest cell", cost_ok)
     shape_check(
         "largest Table-I cell at least 3x faster than seed",
@@ -1100,18 +999,6 @@ def test_perf_core(once):
         "many-rows trace at least 1.3x faster with the patch planner",
         measured["online_many_rows_s"] * 1.3
         <= measured["online_many_rows_perrow_s"],
-    )
-    shape_check("kernel tier: drift exactly 0.0 and identical acceptance "
-                "decisions on both tracked traces", kernel_ok)
-    shape_check(
-        "many-rows trace at least 1.5x faster under the kernel tier",
-        measured["online_many_rows_kernel_s"] * 1.5
-        <= measured["online_many_rows_s"],
-    )
-    shape_check(
-        "dense-patch trace faster under the kernel tier",
-        measured["online_dense_patch_kernel_s"]
-        <= measured["online_dense_patch_s"],
     )
     shape_check("dense-patch trace: shared == unshared, bit-identical forests",
                 share_ok)
@@ -1154,8 +1041,6 @@ def test_perf_core(once):
     )
     shape_check("pooled sweep output identical to serial",
                 measured["sweep_outputs_match"])
-    shape_check("algo-parallel sweep output identical to serial",
-                measured["sweep_algo_outputs_match"])
     shape_check(
         "pooled sweep at least 2x faster than serial (multi-core runners)",
         measured["sweep_slice_s"] * 2 <= measured["sweep_serial_s"],

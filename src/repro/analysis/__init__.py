@@ -3,7 +3,7 @@
 The reproduction's correctness rests on invariants that used to live
 only in ROADMAP.md and review discipline: byte-stable iteration order
 across PYTHONHASHSEED, the single-oracle invariant, the oracle
-flag-threading rule, and the kernel tier's fork-inheritance invariant.
+flag-threading rule, and the single owner of process pools.
 PRs 3, 4, 7 and 8 each shipped a bugfix for a silent violation of one of
 them.  This package turns those rules into machine-checkable lint,
 enforced in CI (``python -m repro.analysis --strict src tests``).
@@ -15,8 +15,7 @@ Rule families (see each module's docstring and ``README.md`` here):
 - :mod:`~repro.analysis.oracle` -- ``oracle-second-build``,
   ``oracle-invalidate-rebuild``.
 - :mod:`~repro.analysis.flags` -- ``thread-oracle-flag``.
-- :mod:`~repro.analysis.forksafety` -- ``fork-mutation-window``,
-  ``fork-raw-pool``, ``fork-worker-order``.
+- :mod:`~repro.analysis.forksafety` -- ``fork-raw-pool``.
 - :mod:`~repro.analysis.obsguard` -- ``obs-null-guard``.
 
 Suppress one finding inline with ``# repro-lint: disable=<rule>`` plus a

@@ -104,8 +104,7 @@ def _finish_trace(recorder, trace_out: str) -> None:
           "(repro obs convert -> chrome://tracing)")
     breakdown = phase_breakdown(recorder.snapshot())
     if any(breakdown.values()):
-        print("per-phase time (attribution views; fork time also nests "
-              "inside its dispatching phase):")
+        print("per-phase time (attribution views; spans may nest):")
         for phase, seconds in breakdown.items():
             print(f"  {phase:8s} {seconds:10.4f}s")
 
@@ -367,8 +366,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         totals.items(), key=lambda kv: (-kv[1], kv[0])
     ):
         print(f"{name:32s} {seconds:11.4f}s")
-    print("\nper-phase (attribution views; fork time also nests inside "
-          "its dispatching phase):")
+    print("\nper-phase (attribution views; spans may nest):")
     for phase, names in PHASE_GROUPS.items():
         seconds = sum(totals.get(n, 0.0) for n in names)
         print(f"  {phase:8s} {seconds:10.4f}s")

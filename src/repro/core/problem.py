@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
-from repro.graph import FrozenOracle, Graph, kernel
+import numpy as np
+
+from repro.graph import FrozenOracle, Graph
 
 Node = Hashable
 
@@ -194,21 +196,18 @@ class SOFInstance:
             setup = self.setup_cost
             vms = self.sorted_vms()
             # One row per VM up front: every later distance query that
-            # touches a VM is then served by undirected symmetry.  The
-            # prefetch farms cold rows to the worker pool when the oracle
-            # runs with ``parallel_rows``; per-pair reads then batch into
-            # one gather per row on the vectorized tier.
+            # touches a VM is then served by undirected symmetry, and
+            # per-pair reads batch into one gather per row.
             oracle.prefetch_rows(vms)
-            np = kernel.np
-            use_np = np is not None and oracle.vectorized
-            setups = [setup(v) for v in vms] if use_np else None
+            setups = [setup(v) for v in vms]
             block: Dict[Node, Dict[Node, float]] = {v: {} for v in vms}
             for i, v1 in enumerate(vms):
                 row1 = block[v1]
-                s1 = setup(v1)
+                s1 = setups[i]
                 rest = vms[i + 1:]
+                rest_setups = setups[i + 1:]
                 ds = oracle.distances_to(v1, rest)
-                if use_np and len(rest) > 16:
+                if len(rest) > 16:
                     # Elementwise IEEE doubles in the scalar branch's
                     # association, ``base + ((s1 + s2) / 2.0)``, with
                     # ``inf`` rows passed through verbatim -- the costs
@@ -216,13 +215,13 @@ class SOFInstance:
                     base = np.asarray(ds)
                     costs = np.where(
                         np.isinf(base), base,
-                        base + (s1 + np.asarray(setups[i + 1:])) / 2.0,
+                        base + (s1 + np.asarray(rest_setups)) / 2.0,
                     ).tolist()
                 else:
                     costs = [
                         base if base == float("inf")
-                        else base + (s1 + setup(v2)) / 2.0
-                        for v2, base in zip(rest, ds)
+                        else base + (s1 + s2) / 2.0
+                        for s2, base in zip(rest_setups, ds)
                     ]
                 for v2, cost in zip(rest, costs):
                     row1[v2] = cost

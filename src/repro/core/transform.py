@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional
 
-from repro.graph import KStrollInstance, kernel, solve_kstroll
+import numpy as np
+
+from repro.graph import KStrollInstance, solve_kstroll
 from repro.core.forest import DeployedChain
 from repro.core.problem import SOFInstance
 
@@ -215,14 +217,13 @@ def chain_walk(
         # into oracle query order (hence row-install order and equal-score
         # tie-breaks) and makes runs irreproducible across processes.
         pool_list = sorted(pool, key=repr)
-        # Kernel tier: one gather per endpoint row instead of 2|pool|
+        # One gather per endpoint row instead of 2|pool|
         # scalar reads.  ``detour_distances`` only answers when both rows
         # are cached and already serve every candidate (returning None --
         # side-effect free -- otherwise), so cache evolution and scores
         # are identical to the scalar loop below.
         batch = oracle.detour_distances(source, last_vm, pool_list)
         if batch is not None:
-            np = kernel.np
             da, db = batch
             # ``setup_cost`` is exactly ``node_costs.get(node, 0.0)``;
             # binding the dict lookup keeps the per-candidate method-call

@@ -31,10 +31,6 @@ class Controller:
     domain: Set[Node]
     local_graph: Graph
     border_routers: List[Node] = field(default_factory=list)
-    #: Oracle kernel-tier knobs (fork-pool row builds / array label
-    #: buffers); defaults keep the serial list-backed reference path.
-    parallel_rows: int = 0
-    vectorized: bool = False
     #: Per-domain row-cache residency budget in bytes (``None`` =
     #: unbounded); inherited from the instance oracle so a budgeted
     #: deployment bounds every controller's memory, not just the
@@ -50,7 +46,6 @@ class Controller:
     @classmethod
     def for_domain(
         cls, controller_id: int, domain: Set[Node], graph: Graph,
-        parallel_rows: int = 0, vectorized: bool = False,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> "Controller":
@@ -68,8 +63,6 @@ class Controller:
             domain=set(domain),
             local_graph=local,
             border_routers=borders,
-            parallel_rows=parallel_rows,
-            vectorized=vectorized,
             row_budget_bytes=row_budget_bytes,
             metrics=metrics if metrics else None,
         )
@@ -90,8 +83,6 @@ class Controller:
         if self._oracle is None:
             self._oracle = FrozenOracle(
                 self.local_graph, hot=self.border_routers,
-                parallel_rows=self.parallel_rows,
-                vectorized=self.vectorized,
                 row_budget_bytes=self.row_budget_bytes,
                 metrics=self.metrics,
             )
@@ -109,10 +100,6 @@ class Controller:
         snapshot = self.oracle.cache_snapshot(scope="controller")
         snapshot["domain"] = self.controller_id
         return snapshot
-
-    def cache_stats(self) -> Dict[str, Optional[int]]:
-        """Alias of :meth:`cache_snapshot` (legacy name)."""
-        return self.cache_snapshot()
 
     def local_distances_from(self, node: Node) -> Dict[Node, float]:
         """Intra-domain shortest-path costs from ``node`` (an oracle row)."""

@@ -32,7 +32,6 @@ from repro.baselines import enemp_baseline, est_baseline, st_baseline
 from repro.core.forest import ServiceOverlayForest
 from repro.core.problem import ServiceChain, SOFInstance
 from repro.core.sofda import sofda
-from repro.graph import kernel
 from repro.topology.network import CloudNetwork
 
 Embedder = Callable[[SOFInstance], ServiceOverlayForest]
@@ -157,35 +156,11 @@ def _sweep_cell(cell: Tuple[Dict[str, int], int]) -> Dict[str, Tuple[float, int,
         vm_capacity=state["vm_capacity"],
     )
     out: Dict[str, Tuple[float, int, float]] = {}
-    names = list(algorithms)
-    algo_workers = state.get("algo_workers", 1)
-    if algo_workers > 1 and len(names) > 1:
-        # Per-algorithm dispatch on the oracle's fork-pool utility: the
-        # workers inherit ``instance`` (and the often-lambda embedders)
-        # by forked memory copy, solve one algorithm each, and only the
-        # compact summary triples cross the pipe; the zip merge keeps
-        # algorithm order.  Forked solvers each start from the pristine
-        # post-build instance, so every algorithm sees the cache state
-        # it would have seen running *first* serially (inside a
-        # ``workers > 1`` pool worker this silently degrades to the
-        # serial loop below -- pool workers are daemonic).
-        def _solve(name: str) -> Tuple[float, int, float]:
-            start = time.perf_counter()
-            forest = algorithms[name](instance)
-            elapsed = time.perf_counter() - start
-            return (forest.total_cost(), len(forest.used_vms()), elapsed)
-
-        payloads = kernel.fork_map(
-            _solve, names, algo_workers, label="run_sweep(algo_workers)"
-        )
-        for name, payload in zip(names, payloads):
-            out[name] = payload
-    else:
-        for name, embedder in algorithms.items():
-            start = time.perf_counter()
-            forest = embedder(instance)
-            elapsed = time.perf_counter() - start
-            out[name] = (forest.total_cost(), len(forest.used_vms()), elapsed)
+    for name, embedder in algorithms.items():
+        start = time.perf_counter()
+        forest = embedder(instance)
+        elapsed = time.perf_counter() - start
+        out[name] = (forest.total_cost(), len(forest.used_vms()), elapsed)
     return out
 
 
@@ -231,7 +206,6 @@ def run_sweep(
     link_capacity: float = 1.0,
     vm_capacity: float = 1.0,
     workers: int = 1,
-    algo_workers: int = 1,
     metrics=None,
 ) -> SweepResult:
     """Sweep ``parameter`` over ``values`` with everything else at defaults.
@@ -246,17 +220,6 @@ def run_sweep(
     they report each cell's own wall clock).  Platforms without the fork
     start method fall back to serial evaluation and say so with a
     one-time ``RuntimeWarning``.
-
-    ``algo_workers > 1`` additionally dispatches the independent
-    per-algorithm solves *inside* each cell onto the shared fork-pool
-    utility (:func:`repro.graph.kernel.fork_map`), merged in algorithm
-    order.  Each forked solver sees the pristine just-built instance --
-    the state every algorithm would see running first serially -- so
-    costs match the serial run wherever distance values are independent
-    of oracle cache history (continuous random costs: exact ties have
-    measure zero; the perf bench cross-checks this on every run).
-    Combining both knobs is safe: cell workers are daemonic, so the
-    inner dispatch degrades to the serial loop.
 
     ``metrics`` (an optional :class:`~repro.obs.recorder.Recorder`)
     folds the per-cell solver timings into the registry *after* the
@@ -293,7 +256,6 @@ def run_sweep(
         setup_cost_multiplier=setup_cost_multiplier,
         link_capacity=link_capacity,
         vm_capacity=vm_capacity,
-        algo_workers=algo_workers,
     )
     try:
         cell_results = _map_cells(cells, workers)

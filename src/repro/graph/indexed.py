@@ -90,7 +90,8 @@ from typing import (
     Tuple,
 )
 
-from repro.graph import kernel
+import numpy as np
+
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.rowcache import RowCache
 from repro.graph.shortest_paths import dijkstra as _dict_dijkstra
@@ -148,12 +149,24 @@ PLANNER_SHARE_DENSITY = 0.5
 #: verification scan into the dominant cost).
 _PLANNER_SHARE_MAX_VARIANTS = 4
 
-#: Kernel-tier fork thresholds.  Below these batch sizes the pool's
-#: per-task pickling and scheduling overhead exceeds the work farmed
-#: out, so ``parallel_rows`` oracles stay serial (bit-identical either
-#: way; the thresholds are pure engagement policy).
-PARALLEL_MIN_BATCH = 4
-PARALLEL_MIN_REPAIRS = 8
+
+def _f8(buf: array):
+    """Zero-copy ``float64`` view of a row's ``dist`` buffer.
+
+    Writes through the view mutate the buffer in place; row buffers are
+    never resized, so a view stays valid for the row's lifetime.
+    """
+    return np.frombuffer(buf, dtype=np.float64)
+
+
+def _i8(buf: array):
+    """Zero-copy ``int64`` view of a row's ``parent`` buffer."""
+    return np.frombuffer(buf, dtype=np.int64)
+
+
+def _u8(buf: bytearray):
+    """Zero-copy ``uint8`` view of a ``settled``/membership bytearray."""
+    return np.frombuffer(buf, dtype=np.uint8)
 
 
 def _target_ids(index: Dict, targets: Sequence) -> Optional[List[int]]:
@@ -1156,7 +1169,7 @@ class _SharedRegion:
     boundary edge).
     """
 
-    __slots__ = ("root", "member", "nodes", "tail", "seed_items", "inner",
+    __slots__ = ("root", "member", "nodes", "seed_items", "inner",
                  "_mask", "_reach_mask", "_arrays", "_solo")
 
     def __init__(
@@ -1193,7 +1206,6 @@ class _SharedRegion:
         self.root = root
         self.member = member
         self.nodes = nodes
-        self.tail = nodes[1:]  # every member but the root
         self.seed_items = seed_items
         self.inner = inner
         self._mask = None
@@ -1201,34 +1213,24 @@ class _SharedRegion:
         self._arrays = None
         self._solo = None
 
-    def matches(self, parent: List[int]) -> bool:
-        """Whether ``parent``'s subtree below ``root`` is exactly this region."""
-        member = self.member
+    def matches(self, parent: array) -> bool:
+        """Whether ``parent``'s subtree below ``root`` is exactly this region.
+
+        Whole-array ops over the row's ``parent`` buffer.  A ``-1`` parent
+        wraps to the last member byte under numpy fancy indexing, but its
+        ``>= 0`` conjunct is already False, so the wrapped read can never
+        flip the outcome.
+        """
         p = parent[self.root]
-        if p >= 0 and member[p]:
+        if p >= 0 and self.member[p]:
             return False
-        if kernel.np is not None and isinstance(parent, array):
-            # Vectorized-row fast path: same predicate, whole-array ops.
-            # A ``-1`` parent wraps to the last member byte under numpy
-            # fancy indexing, but its conjunct is already False, so the
-            # wrapped read can never flip the outcome.
-            np = kernel.np
-            tail_np, member_view, seed_u, seed_v_rep = self.arrays()[:4]
-            pview = kernel.i8_view(parent)
-            tp = pview[tail_np]
-            if not ((tp >= 0) & (member_view[tp] == 1)).all():
-                return False
-            if seed_u.size and (pview[seed_u] == seed_v_rep).any():
-                return False
-            return True
-        for v in self.tail:
-            p = parent[v]
-            if p < 0 or not member[p]:
-                return False
-        for v, seed in self.seed_items:
-            for _, u in seed:
-                if parent[u] == v:
-                    return False
+        tail_np, member_view, seed_u, seed_v_rep = self.arrays()[:4]
+        pview = _i8(parent)
+        tp = pview[tail_np]
+        if not ((tp >= 0) & (member_view[tp] == 1)).all():
+            return False
+        if seed_u.size and (pview[seed_u] == seed_v_rep).any():
+            return False
         return True
 
     def arrays(self):
@@ -1237,15 +1239,13 @@ class _SharedRegion:
         ``(tail_np, member_view, seed_u, seed_v_rep, nodes_np, seed_v,
         seed_w, seed_starts, seed_lens)`` -- the membership/boundary data
         re-expressed as flat arrays so :meth:`matches` and the
-        re-dijkstra's reset/seed/settle scans run as whole-array ops on
-        vectorized rows.  Only called when numpy is importable.
+        re-dijkstra's reset/seed/settle scans run as whole-array ops.
         """
         arrays = self._arrays
         if arrays is None:
-            np = kernel.np
             nodes_np = np.fromiter(self.nodes, np.int64, len(self.nodes))
             tail_np = nodes_np[1:]
-            member_view = kernel.u8_view(self.member)
+            member_view = _u8(self.member)
             seed_v = [v for v, _ in self.seed_items]
             lens = np.fromiter(
                 (len(seed) for _, seed in self.seed_items),
@@ -1467,8 +1467,7 @@ def _repair_row_shared(
     walk_roots: Iterable[int],
     leafs: Iterable[Tuple[int, int]],
     union_cache: Dict,
-    offset_ok: bool = False,
-) -> List[int]:
+) -> Tuple[List[int], bool]:
     """Apply one plan's increase repairs using shared region structures.
 
     Bit-identical to :func:`_repair_row_planned` over ``hits``'s roots
@@ -1479,11 +1478,12 @@ def _repair_row_shared(
     shared seed lists instead of full adjacency scans.  Overlapping
     (nested-subtree) hits may seed a node twice -- idempotent, the
     second pass recomputes the same minimum from the same intact
-    neighbors.  The returned affected list is shared and must be treated
-    as read-only by the caller.
+    neighbors.
 
-    ``offset_ok`` (the kernel tier's ``vectorized`` flag) additionally
-    lets bridge-detached regions -- exactly one boundary node -- repair
+    Returns ``(affected, offset)``: the affected node list, which is
+    shared and must be treated as read-only by the caller, and whether
+    every hit region was repaired by the single-boundary offset solve.
+    Bridge-detached regions -- exactly one boundary node -- repair
     through :meth:`_SharedRegion.apply_offset`: the region is solved once
     and each row replays the solve's additions from its own boundary seed
     distance, skipping the per-row heap.  Only engaged when ``inner`` is
@@ -1491,10 +1491,10 @@ def _repair_row_shared(
     merged heap cannot perturb another), and only when the region's
     separation margin provably survives the re-based rounding -- every
     other case falls back to the heap path, so results stay
-    bit-identical.  The reset, boundary-seed and settle scans also run as
-    whole-array numpy ops on vectorized rows (same values: the scans are
-    pure gathers/constant stores and the seed scan keeps the
-    first-strict-minimum selection rule).
+    bit-identical.  The reset, shared boundary-seed and settle scans run
+    as whole-array numpy ops over the row's label buffers (same values:
+    the scans are pure gathers/constant stores and the seed scan keeps
+    the first-strict-minimum selection rule).
     """
     dist = row.dist
     parent = row.parent
@@ -1541,20 +1541,12 @@ def _repair_row_shared(
                     affect[u] = 1
                     stack.append(u)
 
-    np = kernel.np
-    use_np = np is not None and isinstance(dist, array)
-    if use_np:
-        dview = kernel.f8_view(dist)
-        pview = kernel.i8_view(parent)
-        for region in hits:
-            nodes_np = region.arrays()[4]
-            dview[nodes_np] = INF
-            pview[nodes_np] = -1
-    else:
-        for region in hits:
-            for v in region.nodes:
-                dist[v] = INF
-                parent[v] = -1
+    dview = _f8(dist)
+    pview = _i8(parent)
+    for region in hits:
+        nodes_np = region.arrays()[4]
+        dview[nodes_np] = INF
+        pview[nodes_np] = -1
     for v in walked:
         dist[v] = INF
         parent[v] = -1
@@ -1563,7 +1555,7 @@ def _repair_row_shared(
     push = heapq.heappush
     pop = heapq.heappop
     heap_hits = hits
-    if offset_ok and inner is not None:
+    if inner is not None:
         # Bridge-detached regions solve once and replay per row; a region
         # whose margin check fails stays at the INF/-1 reset and falls
         # back to the ordinary heap seeding below.  Island independence
@@ -1578,13 +1570,12 @@ def _repair_row_shared(
             ):
                 continue
             heap_hits.append(region)
-    if use_np and inner is not None:
         # Whole-array boundary seeding.  ``inner is not None`` guarantees
         # every seed target lies outside all regions (``not affect[u]``
         # is vacuously true), so the scan reduces to a masked gather plus
         # a first-strict-minimum per boundary segment -- exactly the
-        # selection the scalar loop makes.
-        sview = None if full else kernel.u8_view(settled)
+        # selection the per-node loop of the ``else`` branch makes.
+        sview = None if full else _u8(settled)
         for region in heap_hits:
             arrays = region.arrays()
             seed_u, seed_v, seed_w, starts, lens = (
@@ -1665,15 +1656,10 @@ def _repair_row_shared(
 
     if not full:
         cutoff = row.cutoff
-        if use_np:
-            sview = kernel.u8_view(settled)
-            for region in hits:
-                nodes_np = region.arrays()[4]
-                sview[nodes_np] = dview[nodes_np] <= cutoff
-        else:
-            for region in hits:
-                for v in region.nodes:
-                    settled[v] = 1 if dist[v] <= cutoff else 0
+        sview = _u8(settled)
+        for region in hits:
+            nodes_np = region.arrays()[4]
+            sview[nodes_np] = dview[nodes_np] <= cutoff
         for v in walked:
             settled[v] = 1 if dist[v] <= cutoff else 0
 
@@ -1687,12 +1673,13 @@ def _repair_row_shared(
         else:
             dist[leaf] = d + adjacency[leaf][0][0]
 
+    offset = not heap_hits
     if not walked and len(hits) == 1:
-        return hits[0].nodes  # shared: read-only for the caller
+        return hits[0].nodes, offset  # shared: read-only for the caller
     out = list(walked)
     for region in hits:
         out.extend(region.nodes)
-    return out
+    return out, offset
 
 
 class _Row:
@@ -1765,8 +1752,6 @@ class FrozenOracle:
         planner: bool = True,
         share_regions: bool = True,
         topology_patch: bool = True,
-        parallel_rows: int = 0,
-        vectorized: bool = False,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -1795,36 +1780,10 @@ class FrozenOracle:
         #: invalidate-and-rebuild as the equivalence reference.  Served
         #: results are identical either way.
         self._topology_patch = topology_patch
-        #: Kernel tier, piece 1: ``parallel_rows=N`` farms batches of
-        #: independent row builds (:meth:`prefetch_rows`) and per-patch
-        #: row repairs to an ``N``-worker fork pool.  Workers inherit the
-        #: frozen CSR arrays by memory copy and ship back compact label
-        #: payloads, merged in deterministic row order -- bit-identical
-        #: to serial.  Fork-inheritance invariant: the pool is only ever
-        #: created while the oracle is *consistent* (before any install,
-        #: or after a patch plan is fully resolved and before any row is
-        #: written), so a worker can never observe a mid-patch oracle.
-        #: ``0``/``1`` (the default) keeps everything in-process;
-        #: platforms without fork fall back serially with a one-time
-        #: warning (:func:`repro.graph.kernel.fork_map`).
-        self._parallel_rows = max(int(parallel_rows), 0)
-        #: Kernel tier, piece 2: ``vectorized=True`` stores row labels in
-        #: ``array('d')``/``array('q')`` buffers (same values bit for
-        #: bit; scalar reads still yield plain floats/ints) so batch
-        #: queries (:meth:`distances_to`, :meth:`detour_distances`) and
-        #: the repair machinery's membership/boundary/settle scans run as
-        #: zero-copy numpy whole-array ops -- with a stdlib-``array``
-        #: scalar fallback when numpy is missing.  Also enables the
-        #: single-boundary shared-region offset solve (see
-        #: :meth:`_SharedRegion.apply_offset`).  ``False`` (the default)
-        #: keeps plain-list rows and per-query serving: the bit-identical
-        #: equivalence/bench reference, exactly as ``planner=`` /
-        #: ``share_regions=`` / ``topology_patch=`` gate their layers.
-        self._vectorized = bool(vectorized)
         #: Observability (PR 10): ``metrics=`` carries a
         #: :class:`~repro.obs.recorder.Recorder` that the instrumented
-        #: seams (cold builds, patch repairs, fork batches, cache
-        #: snapshots, batch queries) report into.  ``None`` (the
+        #: seams (cold builds, patch repairs, cache snapshots, batch
+        #: queries) report into.  ``None`` (the
         #: default) and the falsy :data:`~repro.obs.recorder.NULL_RECORDER`
         #: keep every hot path on a single truthiness check --
         #: zero-overhead and bit-identical, the same flag-gated-reference
@@ -1897,16 +1856,6 @@ class FrozenOracle:
         return self._graph
 
     @property
-    def parallel_rows(self) -> int:
-        """Worker count of the kernel tier's fork pool (0/1 = serial)."""
-        return self._parallel_rows
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether rows use the kernel tier's array label buffers."""
-        return self._vectorized
-
-    @property
     def row_budget_bytes(self) -> Optional[int]:
         """Row-cache residency budget in bytes (``None`` = unbounded)."""
         return self._rows.budget_bytes
@@ -1947,10 +1896,6 @@ class FrozenOracle:
         stats["scope"] = scope
         return stats
 
-    def cache_stats(self) -> Dict[str, Optional[int]]:
-        """Thin alias of :meth:`cache_snapshot` (the pre-PR-10 name)."""
-        return self.cache_snapshot()
-
     def _publish_cache(self, mx, scope: str = "oracle") -> None:
         """Fold the cache counters into the registry as gauges."""
         self._rows.publish(mx, prefix=f"{scope}.cache")
@@ -1978,20 +1923,18 @@ class FrozenOracle:
                 if bucket is not None:
                     bucket.discard(source_id)
 
-    def _freeze_row(self, dist, parent, settled, full) -> _Row:
-        """Wrap freshly-computed labels in a row, in the configured store.
+    @staticmethod
+    def _freeze_row(dist, parent, settled, full) -> _Row:
+        """Wrap freshly-computed labels in a row of label buffers.
 
-        The single chokepoint between the Dijkstra cores (which always
-        produce plain lists) and the cache: ``vectorized`` oracles
-        convert to ``array('d')``/``array('q')`` buffers here, so every
-        cached row is uniformly typed and the repair/query layers can
-        dispatch on one ``isinstance`` check.  Values are identical
-        either way -- the buffers store the same 64-bit doubles/ints.
+        The single chokepoint between the Dijkstra cores (which produce
+        plain lists) and the cache: labels are copied into
+        ``array('d')``/``array('q')`` buffers, so every cached row is
+        uniformly typed.  Scalar reads still return plain Python
+        floats/ints, while the repair and batch-query layers wrap the
+        same memory zero-copy as numpy views (:func:`_f8`, :func:`_i8`).
         """
-        if self._vectorized and not isinstance(dist, array):
-            dist = kernel.dist_buffer(dist)
-            parent = kernel.parent_buffer(parent)
-        return _Row(dist, parent, settled, full)
+        return _Row(array("d", dist), array("q", parent), settled, full)
 
     def _build(self) -> None:
         if self._built:
@@ -2040,120 +1983,36 @@ class FrozenOracle:
         self.prefetch_rows(nodes)
 
     def prefetch_rows(self, nodes: Iterable[Node]) -> None:
-        """Precompute rows for ``nodes``, farming cold builds when allowed.
+        """Precompute rows for ``nodes``: touch cached ones, build the rest.
 
-        Identical contract and resulting cache state as :meth:`warm` --
-        cached rows are touched (``used``), missing rows are built and
-        installed in the callers' node order -- but with
-        ``parallel_rows > 1`` a batch of at least
-        :data:`PARALLEL_MIN_BATCH` cold rows is built on the fork pool:
-        each row is an independent Dijkstra over the frozen (inherited)
-        CSR arrays, so worker results are bit-identical to in-process
-        builds and only the deterministic install order matters.  Callers
-        that know their working set up front
-        (:meth:`~repro.core.problem.SOFInstance.metric_block`, the online
-        simulator's VM-pool warms) route here so cold batches are
-        discoverable.  Safe by the fork-inheritance invariant: this
-        method only runs between patches, never during one, so workers
-        always inherit a consistent oracle.
+        Cached rows are marked ``used``; missing rows are built and
+        installed in the callers' node order, so the resulting cache
+        state is deterministic.  Callers that know their working set up
+        front (:meth:`~repro.core.problem.SOFInstance.metric_block`, the
+        online simulator's VM-pool warms) route here so cold batches are
+        discoverable.
         """
         self._build()
-        if self._contracted is not None:
-            index = self._contracted.index
-            missing: List[int] = []
-            seen: set = set()
-            for node in nodes:
-                cid = index.get(node)
-                if cid is None:
-                    continue
-                row = self._rows.get(cid)
-                if row is None:
-                    if cid not in seen:
-                        seen.add(cid)
-                        missing.append(cid)
-                else:
-                    row.used = True
-            if len(missing) >= PARALLEL_MIN_BATCH and self._parallel_rows > 1:
-                mx = self._metrics
-                t0 = mx.clock() if mx else 0.0
-                payloads = kernel.fork_map(
-                    self._cold_contracted_payload, missing,
-                    self._parallel_rows, label="prefetch_rows",
-                    metrics=mx,
-                )
-                for cid, payload in zip(missing, payloads):
-                    row = self._freeze_row(*payload)
-                    self._install_row(cid, row)
-                    row.used = True
-                if mx:
-                    mx.inc("oracle.rows.cold", len(missing))
-                    mx.span("oracle.prefetch", t0, mode="fork",
-                            trace_args={"rows": len(missing)})
-            else:
-                for cid in missing:
-                    self._contracted_row(cid)
-            return
-        index = self.core.index
-        missing = []
-        seen = set()
+        contracted = self._contracted
+        index = contracted.index if contracted is not None else self.core.index
+        missing: List[int] = []
+        seen: set = set()
         for node in nodes:
-            node_id = index.get(node)
-            if node_id is None:
+            source_id = index.get(node)
+            if source_id is None:
                 continue
-            row = self._rows.get(node_id)
+            row = self._rows.get(source_id)
             if row is None:
-                if node_id not in seen:
-                    seen.add(node_id)
-                    missing.append(node_id)
+                if source_id not in seen:
+                    seen.add(source_id)
+                    missing.append(source_id)
             else:
                 row.used = True
-        if len(missing) >= PARALLEL_MIN_BATCH and self._parallel_rows > 1:
-            mx = self._metrics
-            t0 = mx.clock() if mx else 0.0
-            payloads = kernel.fork_map(
-                self._cold_row_payload, missing,
-                self._parallel_rows, label="prefetch_rows",
-                metrics=mx,
-            )
-            for node_id, payload in zip(missing, payloads):
-                row = self._freeze_row(*payload)
-                self._install_row(node_id, row)
-            if mx:
-                mx.inc("oracle.rows.cold", len(missing))
-                mx.span("oracle.prefetch", t0, mode="fork",
-                        trace_args={"rows": len(missing)})
-        else:
-            for node_id in missing:
-                self._compute(node_id, None)
-
-    def _cold_contracted_payload(self, cid: int):
-        """One contracted cold row as a compact payload (pool worker)."""
-        dist, parent = self._contracted.dijkstra(cid)
-        if self._vectorized:
-            dist = kernel.dist_buffer(dist)
-            parent = kernel.parent_buffer(parent)
-        return dist, parent, None, True
-
-    def _cold_row_payload(self, source_id: int):
-        """One uncontracted cold row as a compact payload (pool worker).
-
-        Mirrors :meth:`_compute` with no target: early-stopped at the hot
-        set on non-patchable oracles, exhaustive otherwise.  Buffers are
-        converted worker-side so the pipe carries compact arrays.
-        """
-        core = self._core
-        if self._hot_ids and not self._patchable:
-            dist, parent, settled, exhausted = core.dijkstra(
-                source_id, self._hot_ids
-            )
-            full = exhausted
-        else:
-            dist, parent, settled, _ = core.dijkstra(source_id)
-            full = True
-        if self._vectorized:
-            dist = kernel.dist_buffer(dist)
-            parent = kernel.parent_buffer(parent)
-        return dist, parent, settled, full
+        for source_id in missing:
+            if contracted is not None:
+                self._contracted_row(source_id)
+            else:
+                self._compute(source_id, None)
 
     def extend_hot(self, nodes: Iterable[Node]) -> None:
         """Add nodes to the hot set (affects future row computations).
@@ -2478,7 +2337,11 @@ class FrozenOracle:
         member rows verify against (instead of rediscovering) the
         detached region and repair through
         :func:`_repair_row_shared`, bit-identically to the per-row
-        planned path.
+        planned path.  Each repaired row is counted under
+        ``oracle.repair.rows{path}``: ``offset`` when the single-boundary
+        offset solve repaired every region it hit, ``shared`` for any
+        other shared-region repair, ``planned`` or ``reference``
+        otherwise.
         """
         if plan is None:
             plan = _PatchPlan(adjacency, changes)
@@ -2591,147 +2454,42 @@ class FrozenOracle:
 
         live = 0
         repaired = 0
-        offset_ok = self._vectorized
-
-        jobs: Optional[List[Tuple]] = None
-        if self._parallel_rows > 1:
-            touched = set(general_roots) | set(leaf_jobs)
-            candidates = sum(
-                1 for sid in touched
-                if sid in rows and rows[sid].used
-            )
-            if candidates >= PARALLEL_MIN_REPAIRS:
-                jobs = []
-
-        if jobs is not None:
-            # Parallel repairs, two passes.  Pass 1 evicts idle rows and
-            # resolves every row's shared-region hits *serially* (variant
-            # founding is order-dependent and must match the serial
-            # path's rows-iteration order); no row label is written yet.
-            # The fork therefore happens with the oracle fully consistent
-            # -- plan resolved, rows pristine -- upholding the
-            # fork-inheritance invariant.  Pass 2 farms the independent
-            # per-row repairs out, then merges the compact label payloads
-            # back in deterministic job order, so the resulting rows are
-            # bit-identical to the serial branch below.
-            for sid, row in list(rows.items()):
-                if not row.used:
-                    rows.evict(sid, "idle")
-                    continue
-                live += 1
-                roots = general_roots.get(sid)
-                leafs = leaf_jobs.get(sid)
-                if roots or leafs:
-                    repaired += 1
-                    hits: List[_SharedRegion] = []
-                    walk_roots: List[int] = []
-                    if share_groups is not None and roots:
-                        hits, walk_roots = self._resolve_shared(
-                            adjacency, row, roots, share_groups
-                        )
-                    jobs.append((sid, row, hits, walk_roots, roots, leafs))
-                    if mx:
-                        mx.inc("oracle.repair.rows",
-                               path="shared" if hits else "planned",
-                               dispatch="fork")
-                else:
-                    row.stale = True
-                    row.used = False
-
-            def _repair_job(j: int):
-                sid, row, hits, walk_roots, roots, leafs = jobs[j]
-                if hits:
-                    affected = _repair_row_shared(
-                        adjacency, row, hits, walk_roots, leafs or (),
-                        union_cache, offset_ok=offset_ok,
+        for sid, row in list(rows.items()):
+            if not row.used:
+                rows.evict(sid, "idle")
+                continue
+            live += 1
+            roots = general_roots.get(sid)
+            leafs = leaf_jobs.get(sid)
+            if roots or leafs:
+                repaired += 1
+                hits = []
+                walk_roots = []
+                if share_groups is not None and roots:
+                    hits, walk_roots = self._resolve_shared(
+                        adjacency, row, roots, share_groups
                     )
+                if hits:
+                    affected, offset = _repair_row_shared(
+                        adjacency, row, hits, walk_roots, leafs or (),
+                        union_cache,
+                    )
+                    path = "offset" if offset else "shared"
                 else:
                     affected = _repair_row_planned(
                         adjacency, row, roots or (), leafs or ()
                     )
-                dist = row.dist
-                parent = row.parent
-                settled = row.settled
-                n_affected = len(affected)
-                ids = list(affected)
-                svals = (
-                    None if row.full or settled is None
-                    else bytes(settled[v] for v in ids)
-                )
-                if leafs:
-                    # Leaf fast jobs write labels outside the affected
-                    # region list; ship them too (idempotent overlap).
-                    ids.extend(leaf for leaf, _ in leafs)
-                dvals = array("d", (dist[v] for v in ids))
-                pvals = array("q", (parent[v] for v in ids))
-                return n_affected, ids, dvals, pvals, svals, row.cutoff
-
-            payloads = kernel.fork_map(
-                _repair_job, range(len(jobs)), self._parallel_rows,
-                label="patch_rows", metrics=mx,
-            )
-            t_merge = mx.clock() if mx else 0.0
-            for job, payload in zip(jobs, payloads):
-                sid, row = job[0], job[1]
-                n_affected, ids, dvals, pvals, svals, cutoff = payload
-                dist = row.dist
-                parent = row.parent
-                for i, v in enumerate(ids):
-                    dist[v] = dvals[i]
-                    parent[v] = pvals[i]
-                if svals is not None:
-                    settled = row.settled
-                    for i in range(n_affected):
-                        settled[ids[i]] = svals[i]
-                row.cutoff = cutoff
-                row.children = None
-                if index is not None and n_affected:
-                    for i in range(n_affected):
-                        v = ids[i]
+                    path = "planned"
+                if mx:
+                    mx.inc("oracle.repair.rows", path=path)
+                if index is not None and affected:
+                    parent = row.parent
+                    for v in affected:
                         p = parent[v]
                         if p >= 0:
                             _index_add(index, v, p, sid)
-                row.stale = True
-                row.used = False
-            if mx:
-                mx.span("oracle.fork.merge", t_merge,
-                        trace_args={"jobs": len(jobs)})
-        else:
-            for sid, row in list(rows.items()):
-                if not row.used:
-                    rows.evict(sid, "idle")
-                    continue
-                live += 1
-                roots = general_roots.get(sid)
-                leafs = leaf_jobs.get(sid)
-                if roots or leafs:
-                    repaired += 1
-                    hits = []
-                    walk_roots = []
-                    if share_groups is not None and roots:
-                        hits, walk_roots = self._resolve_shared(
-                            adjacency, row, roots, share_groups
-                        )
-                    if hits:
-                        affected = _repair_row_shared(
-                            adjacency, row, hits, walk_roots, leafs or (),
-                            union_cache, offset_ok=offset_ok,
-                        )
-                    else:
-                        affected = _repair_row_planned(
-                            adjacency, row, roots or (), leafs or ()
-                        )
-                    if mx:
-                        mx.inc("oracle.repair.rows",
-                               path="shared" if hits else "planned")
-                    if index is not None and affected:
-                        parent = row.parent
-                        for v in affected:
-                            p = parent[v]
-                            if p >= 0:
-                                _index_add(index, v, p, sid)
-                row.stale = True
-                row.used = False
+            row.stale = True
+            row.used = False
 
         # Adaptive index policy: keep the index only while patches repair
         # a minority of the live rows; arm a build only after a streak of
@@ -2856,7 +2614,6 @@ class FrozenOracle:
             graph, hot=self._hot, patchable=self._patchable,
             planner=self._planner, share_regions=self._share_regions,
             topology_patch=self._topology_patch,
-            parallel_rows=self._parallel_rows, vectorized=self._vectorized,
             row_budget_bytes=self._rows.budget_bytes,
             metrics=self._metrics,
         )
@@ -2878,8 +2635,7 @@ class FrozenOracle:
                     continue  # seed only what fits the clone's budget
                 # Deep copies: patching repairs row arrays in place, and
                 # the original oracle must keep serving its own graph.
-                # Full slices preserve the label store (list or kernel
-                # array buffer) of the source row.
+                # Full slices of the label buffers stay buffers.
                 dup = _Row(
                     row.dist[:],
                     row.parent[:],
@@ -3060,12 +2816,11 @@ class FrozenOracle:
     def distances_to(self, source: Node, targets: Sequence[Node]) -> List[float]:
         """Shortest-path costs from ``source`` to each of ``targets``.
 
-        Semantically ``[self.distance(source, t) for t in targets]`` --
-        and literally that on non-vectorized oracles, so the serial path
-        stays bit-identical to per-query serving.  Vectorized oracles
-        whose cached ``source`` row already serves every target (full, or
-        early-stopped with all targets settled) answer with one zero-copy
-        numpy gather instead of ``len(targets)`` dict/attribute walks,
+        Semantically ``[self.distance(source, t) for t in targets]``.  When
+        the cached ``source`` row already serves every target (full, or
+        early-stopped with all targets settled) the answer is one
+        zero-copy numpy gather instead of ``len(targets)`` dict/attribute
+        walks,
         replicating the per-query side effects exactly: the same query
         counters, the same ``used`` mark, ``inf`` (and no counters) for
         targets absent from the graph.  Any other cache state falls back
@@ -3085,17 +2840,15 @@ class FrozenOracle:
         self, source: Node, targets: Sequence[Node]
     ) -> List[float]:
         targets = list(targets)
-        np = kernel.np
-        if not self._vectorized or np is None or not targets:
-            return [self.distance(source, t) for t in targets]
+        if not targets:
+            return []
         self._build()
         contracted = self._contracted
         if contracted is not None:
             index = contracted.index
             source_id = index.get(source)
             row = self._rows.get(source_id) if source_id is not None else None
-            dview = kernel.f8_view(row.dist) if row is not None else None
-            if dview is None:
+            if row is None:
                 return [self.distance(source, t) for t in targets]
             tids = _target_ids(index, targets)
             if tids is None:
@@ -3103,13 +2856,12 @@ class FrozenOracle:
                 # keep the whole batch on per-query serving.
                 return [self.distance(source, t) for t in targets]
             row.used = True
-            return dview[np.fromiter(tids, np.int64, len(tids))].tolist()
+            return _f8(row.dist)[np.fromiter(tids, np.int64, len(tids))].tolist()
         core = self.core
         index = core.index
         source_id = index[source]
         row = self._rows.get(source_id)
-        dview = kernel.f8_view(row.dist) if row is not None else None
-        if dview is None:
+        if row is None:
             return [self.distance(source, t) for t in targets]
         tids = _target_ids(index, targets)
         if tids is None:
@@ -3120,15 +2872,13 @@ class FrozenOracle:
         if not present:
             return [INF] * len(targets)
         tid_arr = np.fromiter(present, np.int64, len(present))
-        if not row.full:
-            sview = kernel.u8_view(row.settled)
-            if sview is None or not (sview[tid_arr] != 0).all():
-                return [self.distance(source, t) for t in targets]
+        if not row.full and not (_u8(row.settled)[tid_arr] != 0).all():
+            return [self.distance(source, t) for t in targets]
         queries = self._queries
         queries[source_id] = queries.get(source_id, 0) + len(present)
         queries.update(present)
         row.used = True
-        vals = dview[tid_arr].tolist()
+        vals = _f8(row.dist)[tid_arr].tolist()
         if len(present) == len(tids):
             return vals
         out: List[float] = []
@@ -3146,7 +2896,7 @@ class FrozenOracle:
     ) -> Optional[Tuple[List[float], List[float]]]:
         """Batched ``d(a, m)`` and ``d(b, m)`` for corridor-detour scans.
 
-        The kernel tier's entry point for Procedure 2's pool-cap filter,
+        The batched entry point for Procedure 2's pool-cap filter,
         which scores every candidate VM against both corridor endpoints.
         Returns ``(da, db)`` aligned with ``targets`` when the two cached
         endpoint rows can serve every target as-is, replicating exactly
@@ -3171,9 +2921,6 @@ class FrozenOracle:
     def _detour_distances_impl(
         self, a: Node, b: Node, targets: Sequence[Node]
     ) -> Optional[Tuple[List[float], List[float]]]:
-        np = kernel.np
-        if not self._vectorized or np is None:
-            return None
         targets = list(targets)
         if not targets:
             return [], []
@@ -3189,17 +2936,14 @@ class FrozenOracle:
             brow = self._rows.get(bid)
             if arow is None or brow is None:
                 return None
-            da_view = kernel.f8_view(arow.dist)
-            db_view = kernel.f8_view(brow.dist)
-            if da_view is None or db_view is None:
-                return None
             tids = _target_ids(index, targets)
             if tids is None:
                 return None
             arow.used = True
             brow.used = True
             tid_arr = np.fromiter(tids, np.int64, len(tids))
-            return da_view[tid_arr].tolist(), db_view[tid_arr].tolist()
+            return (_f8(arow.dist)[tid_arr].tolist(),
+                    _f8(brow.dist)[tid_arr].tolist())
         core = self.core
         index = core.index
         if a not in index or b not in index:
@@ -3210,10 +2954,6 @@ class FrozenOracle:
         brow = self._rows.get(bid)
         if arow is None or brow is None:
             return None
-        da_view = kernel.f8_view(arow.dist)
-        db_view = kernel.f8_view(brow.dist)
-        if da_view is None or db_view is None:
-            return None
         tids = _target_ids(index, targets)
         if tids is None:
             tids = [index.get(t) for t in targets]
@@ -3222,13 +2962,8 @@ class FrozenOracle:
             present = tids
         tid_arr = np.fromiter(present, np.int64, len(present))
         if present:
-            if not arow.full:
-                sview = kernel.u8_view(arow.settled)
-                if sview is None or not (sview[tid_arr] != 0).all():
-                    return None
-            if not brow.full:
-                sview = kernel.u8_view(brow.settled)
-                if sview is None or not (sview[tid_arr] != 0).all():
+            for row in (arow, brow):
+                if not row.full and not (_u8(row.settled)[tid_arr] != 0).all():
                     return None
         queries = self._queries
         npres = len(present)
@@ -3238,8 +2973,8 @@ class FrozenOracle:
         queries.update(present)
         arow.used = True
         brow.used = True
-        da = da_view[tid_arr].tolist()
-        db = db_view[tid_arr].tolist()
+        da = _f8(arow.dist)[tid_arr].tolist()
+        db = _f8(brow.dist)[tid_arr].tolist()
         if npres != len(tids):
             fa: List[float] = []
             fb: List[float] = []

@@ -30,12 +30,11 @@ Byte model
 Sizes are **deterministic and platform-independent** (no
 ``sys.getsizeof``): 8 bytes per distance entry, 8 per parent entry, 1
 per settled byte, plus :data:`ROW_OVERHEAD_BYTES` per row.  That is
-near-exact for the kernel tier's ``array('d')``/``array('q')`` label
-buffers and an undercount for plain-list rows (a Python float box costs
-more than 8 bytes) -- the budget is a *residency model*, not an RSS
-cap, and the model is chosen so budgeted runs behave identically across
-list/array row stores and numpy availability.  Tree-index residency is
-reported separately by :meth:`FrozenOracle.cache_stats` (it is owned by
+near-exact for the oracle's ``array('d')``/``array('q')`` label
+buffers -- the budget is a *residency model*, not an RSS cap, and the
+model is chosen so budgeted runs behave identically across platforms.
+Tree-index residency is reported separately by
+:meth:`FrozenOracle.cache_snapshot` (it is owned by
 the oracle, sized by the workload's patch history, and dropped
 wholesale under the adaptive index policy); per-patch shared-region
 caches are transient and never survive a patch.

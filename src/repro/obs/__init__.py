@@ -11,15 +11,14 @@ Dependency-free instrumentation for the oracle/simulator/workload stack
   through the ``metrics=`` knob on :class:`~repro.graph.indexed.FrozenOracle`
   and everything above it.  ``None`` (the default) keeps every
   instrumented hot path zero-overhead and bit-identical -- the same
-  flag-gated-reference discipline as ``planner=`` / ``vectorized=`` /
+  flag-gated-reference discipline as ``planner=`` /
   ``row_budget_bytes=``.
 
 Unified cache-snapshot schema (``sof-cache-stats/1``)
 -----------------------------------------------------
 
 ``FrozenOracle.cache_snapshot()`` / ``OnlineSimulator.cache_snapshot()``
-/ ``Controller.cache_snapshot()`` all return one dict shape (the legacy
-``cache_stats()`` methods are thin aliases of it):
+/ ``Controller.cache_snapshot()`` all return one dict shape:
 
 ====================  ====================================================
 key                   meaning

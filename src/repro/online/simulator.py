@@ -109,8 +109,6 @@ class OnlineSimulator:
         planner: bool = True,
         share_regions: bool = True,
         topology_patch: bool = True,
-        parallel_rows: int = 0,
-        vectorized: bool = False,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -131,10 +129,6 @@ class OnlineSimulator:
         # ``topology_patch=False`` keeps incremental cost patching but
         # routes link failure/recovery through invalidate-and-rebuild
         # (the topology-change equivalence reference).
-        # ``parallel_rows``/``vectorized`` turn on the oracle's kernel
-        # tier (fork-pool row builds / array label buffers); the defaults
-        # keep the serial list-backed path bit-identical to pre-kernel
-        # behaviour, as the equivalence and bench reference.
         # ``row_budget_bytes`` caps the oracle row cache's accounted
         # residency (see :mod:`repro.graph.rowcache`): long-lived
         # simulators over large topologies bound memory by evicting
@@ -177,7 +171,6 @@ class OnlineSimulator:
             graph, hot=self._vms, patchable=self._incremental,
             planner=self._planner, share_regions=self._share_regions,
             topology_patch=self._topology_patch,
-            parallel_rows=parallel_rows, vectorized=vectorized,
             row_budget_bytes=row_budget_bytes, metrics=metrics,
         )
 
@@ -200,10 +193,6 @@ class OnlineSimulator:
         counts over a trace.
         """
         return self._oracle.cache_snapshot(scope="simulator")
-
-    def cache_stats(self) -> Dict[str, Optional[int]]:
-        """Alias of :meth:`cache_snapshot` (legacy name)."""
-        return self.cache_snapshot()
 
     @property
     def vms(self) -> List[Node]:
@@ -574,7 +563,7 @@ def run_online_comparison(
 
     Each algorithm gets a fresh simulator over an identical topology, so
     load state never leaks between competitors.  Extra keyword arguments
-    (``parallel_rows``, ``vectorized``, the equivalence-reference flags)
+    (``row_budget_bytes``, ``metrics``, the equivalence-reference flags)
     pass straight through to every :class:`OnlineSimulator`.
     """
     results: Dict[str, OnlineResult] = {}

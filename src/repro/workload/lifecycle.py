@@ -199,7 +199,7 @@ class ChurnResult:
     recovery_latencies: List[float] = field(default_factory=list)
     #: Oracle row-cache counters captured at end of run (rows resident,
     #: bytes, hits/misses, evictions); ``None`` when the simulator does
-    #: not expose :meth:`~repro.online.simulator.OnlineSimulator.cache_stats`.
+    #: not expose :meth:`~repro.online.simulator.OnlineSimulator.cache_snapshot`.
     cache_stats: Optional[dict] = None
 
     @property
@@ -327,7 +327,7 @@ class WorkloadEngine:
             if mx:
                 mx.span("workload.event", t0, kind=event.kind)
         result.final_active = active
-        stats_fn = getattr(self._simulator, "cache_stats", None)
+        stats_fn = getattr(self._simulator, "cache_snapshot", None)
         if callable(stats_fn):
             result.cache_stats = stats_fn()
         return result

@@ -402,88 +402,33 @@ def test_flag_threading_kwargs_forward_satisfies_all(tmp_path):
 # fork safety
 # ----------------------------------------------------------------------
 
-def test_fork_mutation_window(tmp_path):
-    write_tree(tmp_path, {"graph/mod.py": """
-        from repro.graph import kernel
+RAW_POOL_SOURCE = """
+    import multiprocessing
 
-        def repair(rows, adjacency, changes, job):
-            plan = _PatchPlan(adjacency, changes)
-            dist = {}
-            for v, val in rows:
-                dist[v] = val
-            return kernel.fork_map(job, rows)
-    """})
-    assert rules_found(lint(tmp_path)) == ["fork-mutation-window"]
-
-
-def test_fork_before_write_back_is_clean(tmp_path):
-    write_tree(tmp_path, {"graph/mod.py": """
-        from repro.graph import kernel
-
-        def repair(rows, adjacency, changes, job):
-            plan = _PatchPlan(adjacency, changes)
-            repaired = kernel.fork_map(job, rows)
-            dist = {}
-            for v, val in repaired:
-                dist[v] = val
-            return dist
-    """})
-    assert not lint(tmp_path).findings
+    def sweep(fn, items):
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(2) as pool:
+            return pool.map(fn, items)
+"""
 
 
 def test_fork_raw_pool(tmp_path):
-    write_tree(tmp_path, {"core/mod.py": """
+    # The graph package owns no pool: the oracle runs in one process.
+    write_tree(tmp_path, {
+        "core/mod.py": RAW_POOL_SOURCE,
+        "graph/kernel.py": RAW_POOL_SOURCE,
+    })
+    assert rules_found(lint(tmp_path)) == ["fork-raw-pool"] * 2
+
+
+def test_raw_pool_allowed_in_harness(tmp_path):
+    write_tree(tmp_path, {"experiments/harness.py": """
         import multiprocessing
 
-        def sweep(fn, items):
+        def _map_cells(cells, workers):
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(2) as pool:
-                return pool.map(fn, items)
-    """})
-    assert rules_found(lint(tmp_path)) == ["fork-raw-pool"]
-
-
-def test_raw_pool_allowed_in_kernel(tmp_path):
-    write_tree(tmp_path, {"graph/kernel.py": """
-        import multiprocessing
-
-        def fork_map(fn, items):
-            global _WORKER_FN
-            _WORKER_FN = fn
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(2) as pool:
-                return pool.map(_call_worker, items)
-    """})
-    assert not lint(tmp_path).findings
-
-
-def test_fork_worker_order(tmp_path):
-    write_tree(tmp_path, {"graph/kernel.py": """
-        import multiprocessing
-
-        def fork_map(fn, items):
-            global _WORKER_FN
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(2) as pool:
-                _WORKER_FN = fn
-                return pool.map(_call_worker, items)
-    """})
-    assert rules_found(lint(tmp_path)) == ["fork-worker-order"]
-
-
-def test_constant_reset_after_pool_is_clean(tmp_path):
-    write_tree(tmp_path, {"graph/kernel.py": """
-        import multiprocessing
-
-        def fork_map(fn, items):
-            global _WORKER_FN
-            _WORKER_FN = fn
-            ctx = multiprocessing.get_context("fork")
-            try:
-                with ctx.Pool(2) as pool:
-                    return pool.map(_call_worker, items)
-            finally:
-                _WORKER_FN = None
+            with ctx.Pool(workers) as pool:
+                return pool.map(_sweep_cell, cells, chunksize=1)
     """})
     assert not lint(tmp_path).findings
 
@@ -575,10 +520,11 @@ def test_cli_list_rules(capsys):
     for rule_id in (
         "det-set-iter", "det-unseeded-rng", "det-wallclock",
         "det-ambient-sort-key", "oracle-second-build",
-        "oracle-invalidate-rebuild", "thread-oracle-flag",
-        "fork-mutation-window", "fork-raw-pool", "fork-worker-order",
+        "oracle-invalidate-rebuild", "thread-oracle-flag", "fork-raw-pool",
     ):
         assert rule_id in out
+    assert "fork-mutation-window" not in out
+    assert "fork-worker-order" not in out
 
 
 def test_cli_baseline_rewrite_then_strict_passes(tmp_path, capsys):

@@ -4,8 +4,7 @@ The load-bearing contract is the last section: a randomized churn +
 link-failure workload replayed with metrics and tracing ON must produce
 **bit-identical** per-request costs, acceptance decisions, availability
 counters, and oracle row state to the metrics-OFF run -- the recorder
-only observes, exactly like the ``planner=``/``vectorized=`` reference
-flags.  The trace sections pin the Chrome trace-event JSONL schema and
+only observes, exactly like the ``planner=`` reference flag.  The trace sections pin the Chrome trace-event JSONL schema and
 the span-total/histogram-sum reconciliation the CLI and CI rely on.
 """
 
@@ -108,13 +107,11 @@ def test_phase_breakdown_groups_label_series():
     reg.observe("oracle.build", 1.0, kind="core")
     reg.observe("oracle.row_build", 0.5, kind="cold")
     reg.observe("oracle.patch.costs", 0.25)
-    reg.observe("kernel.fork", 0.125, pool="x", mode="serial")
     out = phase_breakdown(reg.snapshot())
     assert set(out) == set(PHASE_GROUPS)
     assert out["build"] == pytest.approx(1.5)
     assert out["repair"] == pytest.approx(0.25)
     assert out["query"] == 0.0
-    assert out["fork"] == pytest.approx(0.125)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +251,7 @@ def _row_states(oracle):
     }
 
 
-def _churn_run(metrics=None, vectorized=False, parallel_rows=0):
+def _churn_run(metrics=None):
     """One seeded churn + failure workload; returns (result, simulator)."""
     from repro.core.sofda import sofda
     from repro.online import RequestGenerator
@@ -281,10 +278,7 @@ def _churn_run(metrics=None, vectorized=False, parallel_rows=0):
         holding=ExponentialHolding(3.0, seed=2),
         failures=failures,
     )
-    simulator = OnlineSimulator(
-        network, metrics=metrics, vectorized=vectorized,
-        parallel_rows=parallel_rows,
-    )
+    simulator = OnlineSimulator(network, metrics=metrics)
     engine = WorkloadEngine(
         simulator, lambda inst: sofda(inst).forest, name="SOFDA"
     )
@@ -387,8 +381,8 @@ def test_cache_snapshot_unified_schema():
     assert snap["scope"] == "oracle"
     assert _SNAPSHOT_KEYS.issubset(snap)
     assert snap["rows"] >= 1
-    # The legacy name is a thin alias of the same shape.
-    assert oracle.cache_stats() == snap
+    # Snapshots only observe: a second one reads the same counters.
+    assert oracle.cache_snapshot() == snap
 
 
 def test_simulator_and_controller_snapshot_scopes():
@@ -401,7 +395,7 @@ def test_simulator_and_controller_snapshot_scopes():
     sim_snap = simulator.cache_snapshot()
     assert sim_snap["scope"] == "simulator"
     assert sim_snap["schema"] == CACHE_SNAPSHOT_SCHEMA
-    assert simulator.cache_stats() == sim_snap
+    assert simulator.cache_snapshot() == sim_snap
 
     graph = Graph()
     for i in range(6):
@@ -411,7 +405,7 @@ def test_simulator_and_controller_snapshot_scopes():
     ctrl_snap = controller.cache_snapshot()
     assert ctrl_snap["scope"] == "controller"
     assert ctrl_snap["domain"] == 3
-    assert controller.cache_stats() == ctrl_snap
+    assert controller.cache_snapshot() == ctrl_snap
 
 
 def test_snapshot_with_recorder_publishes_gauges():

@@ -223,7 +223,7 @@ def _per_row_bytes(graph):
     """Accounted bytes of one cached row of ``graph`` (probe oracle)."""
     probe = FrozenOracle(graph, patchable=True)
     probe.distances_from(0)
-    stats = probe.cache_stats()
+    stats = probe.cache_snapshot()
     assert stats["rows"] >= 1
     return stats["total_bytes"] // stats["rows"]
 
@@ -248,7 +248,7 @@ def test_budgeted_oracle_matches_unbounded_across_patches(seed):
         # on either oracle.
         for s in rng.sample(nodes, 8):
             assert budgeted.distances_from(s) == reference.distances_from(s)
-        stats = budgeted.cache_stats()
+        stats = budgeted.cache_snapshot()
         assert stats["total_bytes"] <= budget
         # Randomized edge-cost churn, both directions.
         changed = {}
@@ -256,9 +256,9 @@ def test_budgeted_oracle_matches_unbounded_across_patches(seed):
             changed[(u, v)] = cost * rng.uniform(0.3, 2.5)
         budgeted.patch_edge_costs(changed)
         reference.patch_edge_costs(changed)
-        assert budgeted.cache_stats()["total_bytes"] <= budget
+        assert budgeted.cache_snapshot()["total_bytes"] <= budget
 
-    stats = budgeted.cache_stats()
+    stats = budgeted.cache_snapshot()
     assert stats["budget_evictions"] > 0
     assert stats["overshoots"] == 0
     # Evicted rows recompute to identical full rows: cross-check a
@@ -280,7 +280,7 @@ def test_unbounded_default_is_plain_dict_behavior():
     assert oracle.row_budget_bytes is None
     for s in range(10):
         oracle.distances_from(s)
-    stats = oracle.cache_stats()
+    stats = oracle.cache_snapshot()
     assert stats["budget_evictions"] == 0 and stats["overshoots"] == 0
     assert stats["rows"] == len(oracle._rows)
     assert "tree_index_bytes" in stats
@@ -298,7 +298,7 @@ def test_rebased_clone_inherits_and_respects_budget():
         changed[(u, v)] = cost * 1.7
     clone = oracle.rebased(graph.copy(), changed)
     assert clone.row_budget_bytes == budget
-    assert clone.cache_stats()["total_bytes"] <= budget
+    assert clone.cache_snapshot()["total_bytes"] <= budget
     # The clone answers over the patched costs, same as a fresh oracle.
     patched = graph.copy()
     for (u, v), cost in changed.items():
@@ -331,7 +331,7 @@ def _simulator_budget(network, rows):
     """A budget of ``rows`` rows of the simulator's (VM-attached) graph."""
     sim = OnlineSimulator(network, vms_per_datacenter=2)
     sim.apply_background_load((), 0.0)  # warm the VM-pool rows
-    stats = sim.cache_stats()
+    stats = sim.cache_snapshot()
     return rows * (stats["total_bytes"] // stats["rows"])
 
 
@@ -416,8 +416,8 @@ def test_budgeted_controller_matches_unbounded():
     tight = Controller.for_domain(0, domain, instance.graph,
                                   row_budget_bytes=budget)
     assert tight.border_matrix() == reference
-    stats = tight.cache_stats()
+    stats = tight.cache_snapshot()
     assert stats["budget_bytes"] == budget
     assert stats["total_bytes"] <= budget
     assert stats["overshoots"] == 0
-    assert plain.cache_stats()["budget_bytes"] is None
+    assert plain.cache_snapshot()["budget_bytes"] is None
