@@ -91,7 +91,7 @@ class Controller:
     def cache_snapshot(self) -> Dict[str, Optional[int]]:
         """The per-domain oracle's counters as a unified snapshot.
 
-        Returns the ``sof-cache-stats/1`` shape documented in
+        Returns the ``sof-cache-stats/2`` shape documented in
         :mod:`repro.obs` with ``scope="controller"`` plus a ``domain``
         key (this controller's id); a coordinator-level residency
         rebalancer reads these to apportion a global budget across

@@ -40,9 +40,9 @@ invariant documented in ROADMAP.md.
 Edge-*cost* patches (:meth:`FrozenOracle.patch_edge_costs`) repair cached
 rows instead of recomputing them.  The repair engine is split into a
 *planner* -- one shared :class:`_PatchPlan` per patch that classifies the
-changed batch (increase/decrease partition, degree-1 leaf edges, and the
-rows that use each changed pair as a tree edge, via a lazily-maintained
-inverted pair->rows index) -- and a *repairer*
+changed batch once (increase/decrease partition, degree-1 leaf edges),
+after which one scan pass checks every classified pair against each live
+row's parent tree -- and a *repairer*
 (:func:`_repair_row_planned`) that applies the plan to one row.  The
 historical per-row rescan (:func:`_repair_row`) is kept, bit-identical,
 behind ``planner=False`` as the equivalence reference.
@@ -73,9 +73,9 @@ machinery.  In the contracted core a failed edge keeps its chain intact
 and poisons the chain's prefix sums and total to ``inf`` instead
 (infinite candidates never win a relaxation, and interior queries
 expand through per-side prefix walks), so no global recontraction ever
-runs.  ``topology_patch=False`` keeps invalidate-and-rebuild as the
-bit-identical equivalence reference, exactly as ``planner=`` /
-``share_regions=`` do for their layers.
+runs.  A plain oracle driven by graph mutation plus
+:meth:`FrozenOracle.invalidate` is the rebuild reference the tests hold
+this path to.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ import numpy as np
 from repro.graph.graph import Graph, canonical_edge
 from repro.graph.rowcache import RowCache
 from repro.graph.shortest_paths import dijkstra as _dict_dijkstra
+from repro.obs import CACHE_SNAPSHOT_SCHEMA
 
 Node = Hashable
 INF = float("inf")
@@ -118,17 +119,6 @@ CONTRACT_MIN_DISTINCT_COSTS = 0.5
 #: the enumeration order) -- plenty to separate drawn-cost graphs from
 #: uniform/integer-cost ones without an O(E) scan per oracle build.
 _DISTINCT_COST_SAMPLE = 2048
-
-#: Patch-planner index policy.  The inverted pair->rows tree-edge index
-#: lets a patch visit only the rows that use a changed edge, but building
-#: it costs O(rows x nodes) and every repair must maintain it, so it only
-#: pays while patches keep touching a small minority of the cached rows.
-#: The planner therefore classifies by scan pass until
-#: :data:`PLANNER_INDEX_BUILD_STREAK` consecutive patches repaired at most
-#: a quarter of at least :data:`PLANNER_INDEX_MIN_ROWS` live rows, and
-#: drops the index again as soon as one patch repairs half of them.
-PLANNER_INDEX_MIN_ROWS = 64
-PLANNER_INDEX_BUILD_STREAK = 3
 
 #: Region-sharing policy for dense patches.  A changed pair whose
 #: detached child is a tree-edge child in at least
@@ -916,9 +906,8 @@ class _PatchPlan:
       every cached row's tree.
 
     The remaining per-row facts (is the pair a tree edge *in this row*)
-    are answered either by the oracle's lazily-maintained inverted
-    pair->rows tree-edge index or, on a first/one-shot patch, by a single
-    scan pass -- see :meth:`FrozenOracle._patch_rows`.
+    are answered by a single scan pass over the live rows -- see
+    :meth:`FrozenOracle._patch_rows`.
     """
 
     __slots__ = ("increases", "decreases", "_adjacency", "_classified")
@@ -961,24 +950,6 @@ class _PatchPlan:
         return self._classified
 
 
-def _index_add(
-    index: Dict[Tuple[int, int], set], v: int, p: int, sid: int
-) -> None:
-    """Register tree edge ``{v, p}`` of row ``sid`` in the inverted index.
-
-    The one place that fixes the index's key convention (the id pair in
-    ascending order) -- shared by post-repair maintenance and wholesale
-    row registration, which must stay in lockstep for the
-    over-approximation invariant to hold.
-    """
-    key = (v, p) if v < p else (p, v)
-    bucket = index.get(key)
-    if bucket is None:
-        index[key] = {sid}
-    else:
-        bucket.add(sid)
-
-
 def _route_tree_edge(
     row: "_Row",
     sid: int,
@@ -987,15 +958,14 @@ def _route_tree_edge(
     leaf: int,
     general_roots: Dict[int, List[int]],
     leaf_jobs: Dict[int, List[Tuple[int, int]]],
-) -> bool:
+) -> None:
     """Route one changed pair of ``row`` to its repair job, if a tree edge.
 
-    The single dispatch both classification modes (index lookup and scan
-    pass) of :meth:`FrozenOracle._patch_rows` share: verify the pair
-    against ``row.parent``, then queue the detached child either as a
-    ``(leaf, anchor)`` fast job (increased degree-1 edge of a full row)
-    or as a general region root.  Returns whether the pair is currently a
-    tree edge of the row.
+    The classification step of :meth:`FrozenOracle._patch_rows`'s scan
+    pass: verify the pair against ``row.parent``, then queue the
+    detached child either as a ``(leaf, anchor)`` fast job (increased
+    degree-1 edge of a full row) or as a general region root.  A pair
+    that is not a tree edge of the row queues nothing.
     """
     parent = row.parent
     if parent[b] == a:
@@ -1003,12 +973,11 @@ def _route_tree_edge(
     elif parent[a] == b:
         child = a
     else:
-        return False
+        return
     if child == leaf and row.full:
         leaf_jobs.setdefault(sid, []).append((child, a if child == b else b))
     else:
         general_roots.setdefault(sid, []).append(child)
-    return True
 
 
 def _repair_row_planned(
@@ -1016,7 +985,7 @@ def _repair_row_planned(
     row: "_Row",
     roots: Iterable[int],
     leafs: Iterable[Tuple[int, int]],
-) -> List[int]:
+) -> None:
     """Apply one plan's increase repairs to a single cached row.
 
     ``roots`` are the row's detached children of generally-classified
@@ -1035,9 +1004,6 @@ def _repair_row_planned(
       (``dist[leaf] = dist[anchor] + w``), its parent unchanged.  A leaf
       whose anchor *is* detached was already swept into that region by
       the child walk, and is repaired there.
-
-    Returns the affected (region-repaired) node list, so the caller can
-    refresh the inverted tree-edge index from the new parents.
     """
     dist = row.dist
     parent = row.parent
@@ -1136,7 +1102,6 @@ def _repair_row_planned(
             parent[leaf] = -1
         else:
             dist[leaf] = d + adjacency[leaf][0][0]
-    return affected
 
 
 class _SharedRegion:
@@ -1467,7 +1432,7 @@ def _repair_row_shared(
     walk_roots: Iterable[int],
     leafs: Iterable[Tuple[int, int]],
     union_cache: Dict,
-) -> Tuple[List[int], bool]:
+) -> bool:
     """Apply one plan's increase repairs using shared region structures.
 
     Bit-identical to :func:`_repair_row_planned` over ``hits``'s roots
@@ -1480,21 +1445,19 @@ def _repair_row_shared(
     second pass recomputes the same minimum from the same intact
     neighbors.
 
-    Returns ``(affected, offset)``: the affected node list, which is
-    shared and must be treated as read-only by the caller, and whether
-    every hit region was repaired by the single-boundary offset solve.
-    Bridge-detached regions -- exactly one boundary node -- repair
-    through :meth:`_SharedRegion.apply_offset`: the region is solved once
-    and each row replays the solve's additions from its own boundary seed
-    distance, skipping the per-row heap.  Only engaged when ``inner`` is
-    shared (regions are independent islands, so removing one from the
-    merged heap cannot perturb another), and only when the region's
-    separation margin provably survives the re-based rounding -- every
-    other case falls back to the heap path, so results stay
-    bit-identical.  The reset, shared boundary-seed and settle scans run
-    as whole-array numpy ops over the row's label buffers (same values:
-    the scans are pure gathers/constant stores and the seed scan keeps
-    the first-strict-minimum selection rule).
+    Returns whether every hit region was repaired by the single-boundary
+    offset solve.  Bridge-detached regions -- exactly one boundary node
+    -- repair through :meth:`_SharedRegion.apply_offset`: the region is
+    solved once and each row replays the solve's additions from its own
+    boundary seed distance, skipping the per-row heap.  Only engaged
+    when ``inner`` is shared (regions are independent islands, so
+    removing one from the merged heap cannot perturb another), and only
+    when the region's separation margin provably survives the re-based
+    rounding -- every other case falls back to the heap path, so results
+    stay bit-identical.  The reset, shared boundary-seed and settle
+    scans run as whole-array numpy ops over the row's label buffers
+    (same values: the scans are pure gathers/constant stores and the
+    seed scan keeps the first-strict-minimum selection rule).
     """
     dist = row.dist
     parent = row.parent
@@ -1673,13 +1636,7 @@ def _repair_row_shared(
         else:
             dist[leaf] = d + adjacency[leaf][0][0]
 
-    offset = not heap_hits
-    if not walked and len(hits) == 1:
-        return hits[0].nodes, offset  # shared: read-only for the caller
-    out = list(walked)
-    for region in hits:
-        out.extend(region.nodes)
-    return out, offset
+    return not heap_hits
 
 
 class _Row:
@@ -1751,7 +1708,6 @@ class FrozenOracle:
         patchable: bool = False,
         planner: bool = True,
         share_regions: bool = True,
-        topology_patch: bool = True,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -1774,12 +1730,6 @@ class FrozenOracle:
         #: keeps the per-row region rediscovery as the equivalence
         #: reference.  Served results are bit-identical either way.
         self._share_regions = share_regions
-        #: ``topology_patch=True`` (the default) lets
-        #: :meth:`patch_topology` repair cached state through the CSR
-        #: tombstone machinery; ``topology_patch=False`` keeps
-        #: invalidate-and-rebuild as the equivalence reference.  Served
-        #: results are identical either way.
-        self._topology_patch = topology_patch
         #: Observability (PR 10): ``metrics=`` carries a
         #: :class:`~repro.obs.recorder.Recorder` that the instrumented
         #: seams (cold builds, patch repairs, cache snapshots, batch
@@ -1819,30 +1769,6 @@ class FrozenOracle:
         #: each patch), so a budgeted oracle serves the same values and
         #: only residency/recompute work differ.
         self._rows: RowCache = RowCache(row_budget_bytes)
-        self._rows.on_evict = self._deregister_row
-        #: Inverted tree-edge index for the planner: canonical id pair ->
-        #: set of cached-row sources whose parent tree (possibly) uses the
-        #: pair as a tree edge.  Lazily maintained: built only once the
-        #: workload proves sparse (see :data:`PLANNER_INDEX_MIN_ROWS`),
-        #: dropped again when patches start touching most rows, and kept
-        #: as an over-approximation in between -- entries are added
-        #: eagerly when trees gain an edge and pruned opportunistically
-        #: when a changed pair is looked up, so a stale entry costs one
-        #: parent check, while a missing entry would skip a required
-        #: repair and is never allowed.  Superset invariant: while the
-        #: index is live, every tree edge of every cached row has an
-        #: entry.  Three paths uphold it: in-place repairs register the
-        #: affected nodes' new parents, every row-*replacing* recompute
-        #: goes through :meth:`_install_row` (which registers the new
-        #: tree immediately), and :meth:`_reconcile_tree_index` catches
-        #: up wholesale at the start of each indexed patch.
-        self._tree_index: Optional[Dict[Tuple[int, int], set]] = None
-        #: Rows already registered in ``_tree_index``, by identity --
-        #: a replaced ``_Row`` object is re-registered on reconcile.
-        self._indexed: Dict[int, _Row] = {}
-        #: Consecutive planned patches that repaired at most a quarter of
-        #: the live rows -- the build trigger for the tree-edge index.
-        self._index_low_hits = 0
         self._slow_rows: Dict[Node, Tuple[Dict[Node, float], Dict[Node, Node]]] = {}
         #: Per-node query counters.  A ``Counter`` rather than a plain
         #: dict so the batched entry points can bump a whole target list
@@ -1865,63 +1791,27 @@ class FrozenOracle:
         """The attached recorder, or ``None`` when observability is off."""
         return self._metrics
 
-    def _tree_index_bytes(self) -> int:
-        """Estimated residency of the inverted pair->rows tree-edge index."""
-        index = self._tree_index
-        if index is None:
-            return 0
-        return 64 * len(index) \
-            + 8 * sum(len(bucket) for bucket in index.values())
-
     def cache_snapshot(self, scope: str = "oracle") -> Dict[str, Optional[int]]:
-        """Unified cache snapshot (schema ``sof-cache-stats/1``).
+        """Unified cache snapshot (schema :data:`CACHE_SNAPSHOT_SCHEMA`).
 
         The :meth:`RowCache.stats` counters (rows resident, accounted
         bytes, peak, hits/misses, evictions by policy, budget
-        overshoots) plus ``tree_index_bytes`` -- the inverted
-        pair->rows tree-edge index, which the oracle owns outside the
-        per-row budget because the adaptive index policy already builds
-        and drops it wholesale by patch density -- tagged with the
-        schema version and the reporting ``scope``.  The documented
-        shape every layer shares: see :mod:`repro.obs` for the full key
-        table.  When a recorder is attached, the same numbers are also
+        overshoots), tagged with the schema version and the reporting
+        ``scope``.  The documented shape every layer shares: see
+        :mod:`repro.obs` for the full key table.  When a recorder is attached, the same numbers are also
         folded into the registry as ``<scope>.cache.*`` gauges.
         """
         stats = self._rows.stats()
-        stats["tree_index_bytes"] = self._tree_index_bytes()
         mx = self._metrics
         if mx:
             self._publish_cache(mx, scope)
-        stats["schema"] = "sof-cache-stats/1"
+        stats["schema"] = CACHE_SNAPSHOT_SCHEMA
         stats["scope"] = scope
         return stats
 
     def _publish_cache(self, mx, scope: str = "oracle") -> None:
         """Fold the cache counters into the registry as gauges."""
         self._rows.publish(mx, prefix=f"{scope}.cache")
-        mx.gauge(f"{scope}.cache.tree_index_bytes", self._tree_index_bytes())
-
-    def _deregister_row(self, source_id: int, row: _Row) -> None:
-        """Shed an evicted row's tree-edge index registrations.
-
-        The :class:`RowCache` eviction callback, shared by every drop
-        policy: without it, buckets on never-re-patched pairs would
-        accumulate dead sids for the lifetime of the index (long
-        simulators evict thousands of per-request rows).  Entries from
-        pre-repair trees of the row may survive this walk; they are
-        pruned opportunistically at lookup.  No-op while the index is
-        down (the common case).
-        """
-        if self._indexed.pop(source_id, None) is None:
-            return
-        index = self._tree_index
-        if index is None:
-            return
-        for v, p in enumerate(row.parent):
-            if p >= 0:
-                bucket = index.get((v, p) if v < p else (p, v))
-                if bucket is not None:
-                    bucket.discard(source_id)
 
     @staticmethod
     def _freeze_row(dist, parent, settled, full) -> _Row:
@@ -2043,9 +1933,6 @@ class FrozenOracle:
         self._tombstones.clear()
         self._hot_ids = []
         self._rows.clear()
-        self._tree_index = None
-        self._indexed.clear()
-        self._index_low_hits = 0
         self._slow_rows.clear()
         self._queries.clear()
         self._paths.clear()
@@ -2150,13 +2037,12 @@ class FrozenOracle:
         """Can ``patch_topology(inserted={(u, v): ...})`` apply in place?
 
         True while the oracle is unbuilt (the build reads the mutated
-        graph) or in ``topology_patch=False`` reference mode (inserts
-        invalidate anyway), and otherwise only when the edge holds a
-        tombstoned CSR slot from an earlier removal -- the frozen core
-        cannot grow slots for brand-new edges, so reviving an edge that
-        died *before* the first build needs an :meth:`invalidate`.
+        graph), and otherwise only when the edge holds a tombstoned CSR
+        slot from an earlier removal -- the frozen core cannot grow slots
+        for brand-new edges, so reviving an edge that died *before* the
+        first build needs an :meth:`invalidate`.
         """
-        if not self._built or not self._topology_patch:
+        if not self._built:
             return True
         return canonical_edge(u, v) in self._tombstones
 
@@ -2175,27 +2061,21 @@ class FrozenOracle:
         before anything mutates -- a bad entry leaves graph and oracle
         untouched.
 
-        With ``topology_patch=True`` (the default) the built cores are
-        edited through a *tombstone mask*: a removed edge's CSR slots
-        persist at weight ``inf`` (node ids and row arrays stay stable)
-        while the search-facing adjacency drops the entry, so cached rows
-        repair through the ordinary increase machinery -- the detached
-        region reconnects through surviving edges or legitimately ends
-        *unreachable* (``dist=inf``, parent cleared).  Reinsertion is a
-        decrease-from-infinity over the same slots, and therefore -- on a
-        built oracle -- requires the pair to be a previously removed
-        (tombstoned) edge: the frozen CSR cannot grow new slots.  In the
-        contracted core a failed chain edge poisons its chain's prefix
-        sums and kept candidate to ``inf`` locally; no global
-        recontraction runs.  Removal-driven region repairs bypass the
-        planner's degree-1 leaf fast path (an endpoint's *surviving*
-        degree says nothing about the dead edge), always taking the
-        general boundary re-seeding.
-
-        With ``topology_patch=False`` the graph is mutated and every
-        cache dropped (:meth:`invalidate`) -- the bit-identical
-        equivalence reference, exactly as ``planner=`` /
-        ``share_regions=`` gate their layers.
+        The built cores are edited through a *tombstone mask*: a removed
+        edge's CSR slots persist at weight ``inf`` (node ids and row
+        arrays stay stable) while the search-facing adjacency drops the
+        entry, so cached rows repair through the ordinary increase
+        machinery -- the detached region reconnects through surviving
+        edges or legitimately ends *unreachable* (``dist=inf``, parent
+        cleared).  Reinsertion is a decrease-from-infinity over the same
+        slots, and therefore -- on a built oracle -- requires the pair
+        to be a previously removed (tombstoned) edge: the frozen CSR
+        cannot grow new slots.  In the contracted core a failed chain
+        edge poisons its chain's prefix sums and kept candidate to
+        ``inf`` locally; no global recontraction runs.  Removal-driven
+        region repairs bypass the planner's degree-1 leaf fast path (an
+        endpoint's *surviving* degree says nothing about the dead edge),
+        always taking the general boundary re-seeding.
 
         Returns the number of applied topology changes.
         """
@@ -2219,7 +2099,7 @@ class FrozenOracle:
         removals: List[Tuple[Node, Node, float]] = []
         for key, (u, v) in dead.items():
             removals.append((u, v, graph.cost(u, v)))  # KeyError if absent
-        patch_live = self._built and self._topology_patch
+        patch_live = self._built
         for key, (u, v, cost) in born.items():
             if not (cost >= 0.0) or math.isinf(cost):
                 raise ValueError(
@@ -2246,9 +2126,6 @@ class FrozenOracle:
         count = len(removals) + len(born)
         if not self._built:
             # The eventual ``_build`` reads the mutated graph directly.
-            return count
-        if not self._topology_patch:
-            self.invalidate()
             return count
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
@@ -2319,17 +2196,16 @@ class FrozenOracle:
         the new costs, with tie-breaks possibly differing from a cold
         rebuild's.
 
-        With the planner (the default), a pure-increase batch -- the whole
-        online workload, where loads only grow -- is classified once into
-        a shared :class:`_PatchPlan` and only rows that actually use a
-        changed edge as a tree edge are repaired.  Those rows are found
-        through the inverted tree-edge index while the workload is sparse
-        (most patches miss most rows) and through one cheap scan pass
-        otherwise -- see :data:`PLANNER_INDEX_MIN_ROWS` for the adaptive
-        policy.  Batches carrying a decrease fall back to the per-row
-        reference repair: a decrease moves parents mid-repair, so root
-        classification stops being row-independent.  ``planner=False``
-        always takes the per-row path.
+        With the planner (the default), a pure-increase batch -- the
+        whole online workload, where loads only grow -- is classified
+        once into a shared :class:`_PatchPlan` and only rows that
+        actually use a changed edge as a tree edge are repaired.  One
+        scan pass finds them: every classified pair is checked against
+        each live row's parent tree, O(rows x changes).  Batches
+        carrying a decrease fall back to the per-row reference repair: a
+        decrease moves parents mid-repair, so root classification stops
+        being row-independent.  ``planner=False`` always takes the
+        per-row path.
 
         With ``share_regions=True`` (the default), detached roots dense
         enough to clear :data:`PLANNER_SHARE_MIN_ROWS` /
@@ -2353,15 +2229,6 @@ class FrozenOracle:
         t0 = mx.clock() if mx else 0.0
         rows = self._rows
         if not self._planner or decreases:
-            if self._planner:
-                # The per-row reference repair moves parents without
-                # telling the index; drop it and require a fresh sparse
-                # streak, or a workload alternating mixed and pure
-                # -increase patches would pay a wholesale index rebuild
-                # on every planned patch.
-                self._tree_index = None
-                self._indexed.clear()
-                self._index_low_hits = 0
             for source_id, row in list(rows.items()):
                 if not row.used:
                     # Idle for a whole patch interval: recompute on demand
@@ -2381,50 +2248,17 @@ class FrozenOracle:
             return
 
         # Planned pure-increase patch: classify once, then repair only the
-        # rows the plan names.  The index engages only after a streak of
-        # sparse patches (see the module constants): one-shot patches (a
-        # ``rebased`` clone's) and dense workloads -- e.g. the online
-        # simulator's VM attachment edges, which sit in every row's tree
-        # -- classify with a single scan pass instead, which costs
-        # O(rows x changes) against the index's O(rows x nodes) build.
+        # rows whose parent tree uses a changed pair.
         general_roots: Dict[int, List[int]] = {}
         leaf_jobs: Dict[int, List[Tuple[int, int]]] = {}
-        index: Optional[Dict[Tuple[int, int], set]] = None
-        if (
-            self._tree_index is not None
-            or self._index_low_hits >= PLANNER_INDEX_BUILD_STREAK
-        ):
-            index = self._reconcile_tree_index()
-            indexed = self._indexed
-            for a, b, leaf in plan.classified:
-                key = (a, b) if a < b else (b, a)
-                candidates = index.get(key)
-                if not candidates:
-                    continue
-                verified = set()
-                for sid in candidates:
-                    row = rows.get(sid)
-                    if row is None or indexed.get(sid) is not row:
-                        continue  # stale entry for an evicted/replaced row
-                    if not row.used:
-                        continue  # evicted below, before any repair
-                    if _route_tree_edge(
-                        row, sid, a, b, leaf, general_roots, leaf_jobs
-                    ):
-                        verified.add(sid)
-                # Write back the verified set: opportunistic pruning keeps
-                # the over-approximation from accumulating dead entries on
-                # the repeatedly-changed (hot) pairs.
-                index[key] = verified
-        else:
-            classified = plan.classified
-            for sid, row in rows.items():
-                if not row.used:
-                    continue
-                for a, b, leaf in classified:
-                    _route_tree_edge(
-                        row, sid, a, b, leaf, general_roots, leaf_jobs
-                    )
+        classified = plan.classified
+        for sid, row in rows.items():
+            if not row.used:
+                continue
+            for a, b, leaf in classified:
+                _route_tree_edge(
+                    row, sid, a, b, leaf, general_roots, leaf_jobs
+                )
 
         # Dense-patch region sharing: a root detaching the same region in
         # many rows gets a per-patch group whose structures every member
@@ -2470,39 +2304,20 @@ class FrozenOracle:
                         adjacency, row, roots, share_groups
                     )
                 if hits:
-                    affected, offset = _repair_row_shared(
+                    offset = _repair_row_shared(
                         adjacency, row, hits, walk_roots, leafs or (),
                         union_cache,
                     )
                     path = "offset" if offset else "shared"
                 else:
-                    affected = _repair_row_planned(
+                    _repair_row_planned(
                         adjacency, row, roots or (), leafs or ()
                     )
                     path = "planned"
                 if mx:
                     mx.inc("oracle.repair.rows", path=path)
-                if index is not None and affected:
-                    parent = row.parent
-                    for v in affected:
-                        p = parent[v]
-                        if p >= 0:
-                            _index_add(index, v, p, sid)
             row.stale = True
             row.used = False
-
-        # Adaptive index policy: keep the index only while patches repair
-        # a minority of the live rows; arm a build only after a streak of
-        # sparse patches over a row set worth indexing.
-        if index is not None:
-            if repaired * 2 >= live:
-                self._tree_index = None
-                self._indexed.clear()
-                self._index_low_hits = 0
-        elif live >= PLANNER_INDEX_MIN_ROWS and repaired * 4 <= live:
-            self._index_low_hits += 1
-        else:
-            self._index_low_hits = 0
 
         # Budgeted oracles settle residency at the patch boundary: the
         # accounting invariant is "never over budget *between* patches"
@@ -2560,32 +2375,6 @@ class FrozenOracle:
                     walk_roots.append(c)
         return hits, walk_roots
 
-    def _reconcile_tree_index(self) -> Dict[Tuple[int, int], set]:
-        """Bring the inverted tree-edge index up to date with the rows.
-
-        New or replaced ``_Row`` objects (cold misses, stale-row
-        recomputes, ``distances_from`` upgrades) are registered wholesale;
-        registrations of vanished rows are dropped.  Entries of a row that
-        was *repaired* in place stay maintained incrementally by the
-        caller, so reconciliation is O(tree) only per changed row.
-        """
-        index = self._tree_index
-        if index is None:
-            index = self._tree_index = {}
-        indexed = self._indexed
-        rows = self._rows
-        for sid, row in rows.items():
-            if not row.used:
-                continue  # evicted by this patch before any lookup
-            if indexed.get(sid) is not row:
-                for v, p in enumerate(row.parent):
-                    if p >= 0:
-                        _index_add(index, v, p, sid)
-                indexed[sid] = row
-        for sid in [s for s in indexed if s not in rows]:
-            del indexed[sid]
-        return index
-
     def rebased(
         self, graph: Graph, changed: Mapping[Tuple[Node, Node], float]
     ) -> "FrozenOracle":
@@ -2599,9 +2388,7 @@ class FrozenOracle:
         original instance and its oracle untouched.
 
         The clone inherits the repair modes (``planner`` and
-        ``share_regions`` flags) but not the inverted tree-edge index:
-        its immediate patch classifies with a scan pass, so one-shot
-        clones never pay for an index build.
+        ``share_regions`` flags).
 
         A budgeted oracle's clone inherits ``row_budget_bytes`` and
         seeds through the same policy: rows are copied in retention
@@ -2613,7 +2400,6 @@ class FrozenOracle:
         clone = FrozenOracle(
             graph, hot=self._hot, patchable=self._patchable,
             planner=self._planner, share_regions=self._share_regions,
-            topology_patch=self._topology_patch,
             row_budget_bytes=self._rows.budget_bytes,
             metrics=self._metrics,
         )
@@ -2662,23 +2448,13 @@ class FrozenOracle:
         return row
 
     def _install_row(self, source_id: int, row: _Row) -> None:
-        """Cache ``row`` (replacing any previous object) and register it.
+        """Cache ``row``, replacing any previous object for the source.
 
         Every row-replacing recompute -- cold misses, stale-row
-        recomputes, full-row upgrades -- must come through here: with the
-        inverted tree-edge index live, the new tree's edges are
-        registered immediately, so the index stays a superset of every
-        cached row's tree edges without waiting for the next patch's
-        reconcile pass.  A replaced row's old registrations linger as
-        prunable over-approximation, exactly like a repaired row's.
+        recomputes, full-row upgrades -- comes through here, so a
+        budgeted oracle enforces residency at each one.
         """
         self._rows[source_id] = row
-        index = self._tree_index
-        if index is not None:
-            for v, p in enumerate(row.parent):
-                if p >= 0:
-                    _index_add(index, v, p, source_id)
-            self._indexed[source_id] = row
         if self._rows.budget_bytes is not None:
             # Budgeted oracles enforce residency at every install (cold
             # misses, prefetch batches, stale recomputes, upgrades),

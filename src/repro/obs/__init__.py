@@ -14,7 +14,7 @@ Dependency-free instrumentation for the oracle/simulator/workload stack
   flag-gated-reference discipline as ``planner=`` /
   ``row_budget_bytes=``.
 
-Unified cache-snapshot schema (``sof-cache-stats/1``)
+Unified cache-snapshot schema (``sof-cache-stats/2``)
 -----------------------------------------------------
 
 ``FrozenOracle.cache_snapshot()`` / ``OnlineSimulator.cache_snapshot()``
@@ -23,7 +23,7 @@ Unified cache-snapshot schema (``sof-cache-stats/1``)
 ====================  ====================================================
 key                   meaning
 ====================  ====================================================
-``schema``            literal ``"sof-cache-stats/1"``
+``schema``            literal ``"sof-cache-stats/2"``
 ``scope``             ``"oracle"`` | ``"simulator"`` | ``"controller"``
 ``rows``              resident row count
 ``budget_bytes``      configured budget (``None`` = unbounded)
@@ -35,8 +35,6 @@ key                   meaning
 ``budget_evictions``  evicted by the cost-aware budget sweep
 ``repair_evictions``  evicted because repair was costlier than rebuild
 ``overshoots``        enforce() passes that could not reach the budget
-``tree_index_bytes``  SPT child-index overhead (oracle-owned, not
-                      budgeted)
 ====================  ====================================================
 
 Controller snapshots additionally carry ``domain`` (the controller id).
@@ -67,7 +65,7 @@ from repro.obs.tracer import (
 )
 
 #: Version tag carried by every unified cache snapshot.
-CACHE_SNAPSHOT_SCHEMA = "sof-cache-stats/1"
+CACHE_SNAPSHOT_SCHEMA = "sof-cache-stats/2"
 
 __all__ = [
     "CACHE_SNAPSHOT_SCHEMA",

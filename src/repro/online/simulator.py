@@ -108,7 +108,6 @@ class OnlineSimulator:
         incremental: bool = True,
         planner: bool = True,
         share_regions: bool = True,
-        topology_patch: bool = True,
         row_budget_bytes: Optional[int] = None,
         metrics: Optional[object] = None,
     ) -> None:
@@ -126,9 +125,6 @@ class OnlineSimulator:
         # ``share_regions=False`` keeps the planned path but repairs
         # dense patches without cross-row region sharing (the
         # shared-vs-unshared benchmark and equivalence reference).
-        # ``topology_patch=False`` keeps incremental cost patching but
-        # routes link failure/recovery through invalidate-and-rebuild
-        # (the topology-change equivalence reference).
         # ``row_budget_bytes`` caps the oracle row cache's accounted
         # residency (see :mod:`repro.graph.rowcache`): long-lived
         # simulators over large topologies bound memory by evicting
@@ -143,7 +139,6 @@ class OnlineSimulator:
         self._incremental = incremental
         self._planner = planner
         self._share_regions = share_regions
-        self._topology_patch = topology_patch
         #: Canonical keys of currently failed links.
         self._failed: set = set()
         #: Live leases by identity, for failure-impact scans.
@@ -170,7 +165,6 @@ class OnlineSimulator:
         self._oracle = FrozenOracle(
             graph, hot=self._vms, patchable=self._incremental,
             planner=self._planner, share_regions=self._share_regions,
-            topology_patch=self._topology_patch,
             row_budget_bytes=row_budget_bytes, metrics=metrics,
         )
 
@@ -187,7 +181,7 @@ class OnlineSimulator:
     def cache_snapshot(self) -> Dict[str, Optional[int]]:
         """The shared oracle's cache counters as a unified snapshot.
 
-        Returns the ``sof-cache-stats/1`` shape documented in
+        Returns the ``sof-cache-stats/2`` shape documented in
         :mod:`repro.obs`, with ``scope="simulator"``; the workload engine
         and benches read this to track resident row bytes and eviction
         counts over a trace.

@@ -364,7 +364,7 @@ def test_metrics_flag_threads_to_clones_and_fallback():
 _SNAPSHOT_KEYS = {
     "schema", "scope", "rows", "budget_bytes", "total_bytes", "peak_bytes",
     "hits", "misses", "evictions", "idle_evictions", "budget_evictions",
-    "repair_evictions", "overshoots", "tree_index_bytes",
+    "repair_evictions", "overshoots",
 }
 
 
@@ -379,7 +379,7 @@ def test_cache_snapshot_unified_schema():
     snap = oracle.cache_snapshot()
     assert snap["schema"] == CACHE_SNAPSHOT_SCHEMA
     assert snap["scope"] == "oracle"
-    assert _SNAPSHOT_KEYS.issubset(snap)
+    assert set(snap) == _SNAPSHOT_KEYS
     assert snap["rows"] >= 1
     # Snapshots only observe: a second one reads the same counters.
     assert oracle.cache_snapshot() == snap
@@ -421,7 +421,7 @@ def test_snapshot_with_recorder_publishes_gauges():
     gauges = recorder.snapshot()["gauges"]
     assert gauges["oracle.cache.rows"] == snap["rows"]
     assert gauges["oracle.cache.total_bytes"] == snap["total_bytes"]
-    assert gauges["oracle.cache.tree_index_bytes"] == snap["tree_index_bytes"]
+    assert gauges["oracle.cache.peak_bytes"] == snap["peak_bytes"]
 
 
 # ----------------------------------------------------------------------

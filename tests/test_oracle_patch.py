@@ -236,44 +236,30 @@ def test_patch_before_first_query_counts_real_changes():
 
 
 # ----------------------------------------------------------------------
-# tree-edge index maintenance across row-replacing recomputes
+# patches after row-replacing recomputes
 # ----------------------------------------------------------------------
-def test_row_upgrade_registers_in_tree_index(monkeypatch):
-    """A full-row upgrade registers its new tree edges immediately.
+def test_row_upgrade_then_patch_matches_cold_oracle():
+    """A patch after a full-row upgrade repairs the upgraded tree.
 
-    The superset invariant: while the inverted tree-edge index is live,
-    every tree edge of every cached row must have an index entry --
-    a missing entry would make a later patch skip the row's repair and
-    serve a stale distance.  Row-replacing recomputes (the
-    ``distances_from`` upgrade here) bypass the in-place repair
-    bookkeeping, so they must register through ``_install_row`` rather
-    than waiting for the next patch's reconcile pass.
+    Row-replacing recomputes (the ``distances_from`` upgrade here) swap
+    in a new row object whose tree gains edges the early-stopped row
+    never had; the next patch must see those edges and serve fresh
+    costs, exactly like a cold oracle over the patched graph.
     """
-    from repro.graph import indexed
-
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_MIN_ROWS", 1)
-    monkeypatch.setattr(indexed, "PLANNER_INDEX_BUILD_STREAK", 0)
     graph = Graph.from_edges([
         ("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("x", "y", 1.0),
     ])
     oracle = FrozenOracle(graph, hot={"s", "a"}, planner=True)
     # Early-stopped row from s (settles once the hot set is done).
     assert oracle.distance("s", "a") == 1.0
-    core = oracle.core
-    sid = core.index["s"]
+    sid = oracle.core.index["s"]
     assert not oracle._rows[sid].full
-    # A sparse patch builds the index over the partial tree.
+    # A patch off every tree leaves the partial row in place.
     oracle.patch_edge_costs({("x", "y"): 2.0})
-    assert oracle._tree_index is not None
-    key = tuple(sorted((core.index["b"], core.index["t"])))
-    assert sid not in oracle._tree_index.get(key, set())
-    # Full-row upgrade: the new tree gains b-t, which the index must see
-    # *immediately* -- not only at the next patch's reconcile pass.
+    # Full-row upgrade: the new tree gains b-t.
     assert oracle.distances_from("s")["t"] == 3.0
     assert oracle._rows[sid].full
-    assert sid in oracle._tree_index.get(key, set())
-    assert oracle._indexed[sid] is oracle._rows[sid]
-    # And the repair driven through that registration serves fresh costs.
+    # The repair of that new tree edge serves fresh costs.
     oracle.patch_edge_costs({("b", "t"): 5.0})
     assert oracle.distance("s", "t") == 7.0
     fresh = FrozenOracle(graph.copy(), hot={"s", "a"})

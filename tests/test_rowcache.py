@@ -17,6 +17,7 @@ from repro import sofda
 from repro.graph import FrozenOracle, Graph, RowCache
 from repro.graph.rowcache import ROW_OVERHEAD_BYTES, row_nbytes
 from repro.graph.shortest_paths import DistanceOracle
+from repro.obs import CACHE_SNAPSHOT_SCHEMA
 from repro.online import OnlineSimulator, RequestGenerator
 from repro.topology import softlayer_network
 from repro.workload import (
@@ -116,14 +117,12 @@ def test_budget_must_be_positive():
 # ----------------------------------------------------------------------
 def test_evict_reasons_and_callback():
     cache = RowCache()
-    dropped = []
-    cache.on_evict = lambda sid, row: dropped.append(sid)
     for sid in (1, 2, 3):
         cache[sid] = _FakeRow(5)
     cache.evict(1, "idle")
     cache.evict(2, "repair")
     cache.evict(3, "budget")
-    assert dropped == [1, 2, 3]
+    assert len(cache) == 0
     assert cache.evictions == 3
     assert (cache.idle_evictions, cache.repair_evictions,
             cache.budget_evictions) == (1, 1, 1)
@@ -283,7 +282,7 @@ def test_unbounded_default_is_plain_dict_behavior():
     stats = oracle.cache_snapshot()
     assert stats["budget_evictions"] == 0 and stats["overshoots"] == 0
     assert stats["rows"] == len(oracle._rows)
-    assert "tree_index_bytes" in stats
+    assert stats["schema"] == CACHE_SNAPSHOT_SCHEMA
 
 
 def test_rebased_clone_inherits_and_respects_budget():

@@ -3,8 +3,8 @@
 The contract: after failing (tombstoning) or reinserting edges, the
 oracle must answer exactly as a fresh :class:`FrozenOracle` built over
 the mutated graph would -- in both replicated and contracted modes --
-with ``topology_patch=False`` keeping invalidate-and-rebuild as the
-bit-identical equivalence reference.  Removed edges may legitimately
+with graph mutation plus ``invalidate()`` as the bit-identical
+equivalence reference.  Removed edges may legitimately
 leave regions *unreachable* (``dist=inf``), which no cost-only patch can
 produce.
 """
@@ -100,15 +100,17 @@ def test_mixed_removal_and_insert_batch():
 def test_randomized_fail_recover_cost_stream_matches_reference():
     """Interleaved fail/recover/cost patches vs the invalidate reference.
 
-    ``topology_patch=False`` routes every topology change through
-    invalidate-and-rebuild; per-step row state must stay bit-identical.
+    The reference applies every topology change as a graph mutation plus
+    ``invalidate()`` (a full rebuild); per-step row state must stay
+    bit-identical.
     """
     rng = random.Random(43)
     graph = random_graph(rng, num_nodes=35)
     nodes = list(graph.nodes())
     hot = rng.sample(nodes, 5)
     patched = FrozenOracle(graph, hot=hot)
-    reference = FrozenOracle(graph.copy(), hot=hot, topology_patch=False)
+    ref_graph = graph.copy()
+    reference = FrozenOracle(ref_graph, hot=hot)
     down = []
     for step in range(15):
         action = rng.random()
@@ -116,13 +118,15 @@ def test_randomized_fail_recover_cost_stream_matches_reference():
             live = [(u, v) for u, v, _ in graph.edges()]
             edge = rng.choice(live)
             patched.patch_topology(removed=[edge])
-            reference.patch_topology(removed=[edge])
+            ref_graph.remove_edge(*edge)
+            reference.invalidate()
             down.append(edge)
         elif action < 0.6 and down:
             edge = down.pop(rng.randrange(len(down)))
             cost = rng.uniform(0.1, 5.0)
             patched.patch_topology(inserted={edge: cost})
-            reference.patch_topology(inserted={edge: cost})
+            ref_graph.add_edge(*edge, cost)
+            reference.invalidate()
         else:
             live = [(u, v, c) for u, v, c in graph.edges()]
             u, v, c = rng.choice(live)
@@ -348,20 +352,6 @@ def test_rebased_carries_tombstones():
     assert clone.distance(*edge) <= 1.0
     # The original oracle still sees the edge as dead.
     assert not graph.has_edge(*edge)
-
-
-def test_topology_patch_false_reference_mode():
-    rng = random.Random(53)
-    graph = random_graph(rng, num_nodes=25)
-    nodes = list(graph.nodes())
-    oracle = FrozenOracle(graph, topology_patch=False)
-    oracle.distance(nodes[0], nodes[-1])
-    edge = removable_edges(rng, graph, 1)[0]
-    oracle.patch_topology(removed=[edge])
-    assert not graph.has_edge(*edge)
-    fresh = FrozenOracle(graph.copy())
-    for source in rng.sample(nodes, 6):
-        assert oracle.distances_from(source) == fresh.distances_from(source)
 
 
 # ----------------------------------------------------------------------
