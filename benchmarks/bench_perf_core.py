@@ -9,6 +9,10 @@ tracks the *repo's own* performance trajectory.  It measures:
   core + array heap);
 - ``sofda_largest_s``: a full SOFDA run on the Table-I (5000, 26) cell --
   the acceptance metric for the indexed-core PR;
+- ``sofda_largest_rows_exact`` / ``sofda_largest_fallback_rows``: every
+  contracted row that run cached, checked against the heap-loop
+  reference (``_ContractedCore.heap_dijkstra``), and how many of them the
+  numpy row kernel refused (must be 0);
 - ``online_trace_s`` / ``online_trace_invalidate_s``: a 12-request online
   trace (Fig.-12 style, 5000-node Inet topology) replayed through the
   incremental ``patch_edge_costs`` path and the historical full-rebuild
@@ -68,7 +72,9 @@ full-rebuild / serial timings recorded when the incremental paths landed).
 The bench never fails on timings (CI runs it as a smoke test); it prints
 the measured ratios instead.  Set ``SOF_PERF_STRICT=1`` to make the
 *correctness* anchors hard failures: the largest-cell forest cost and the
-online-trace costs must match the committed baselines, the planned
+online-trace costs must match the committed baselines, the largest
+cell's cached contracted rows must equal the heap-loop reference with
+no kernel fallback, the planned
 repair path must stay bit-identical to the per-row reference on the
 many-rows trace, the region-shared repair must stay bit-identical
 to the unshared planned path on the dense-patch trace, and the churn
@@ -593,10 +599,22 @@ def run_perf_core() -> dict:
         sofda_s = min(sofda_s, time.perf_counter() - start)
     sofda_cost = result.cost
 
+    # Kernel anchor: every contracted row the last run cached must equal
+    # the heap-loop reference bit for bit, and none may have needed the
+    # heap-loop fallback (a zero-gap tight edge).
+    core = fresh.oracle.contracted
+    cached = sorted(fresh.oracle._rows.items())
+    rows_exact = all(
+        (list(row.dist), list(row.parent)) == core.heap_dijkstra(cid)
+        for cid, row in cached
+    )
+    fallback_rows = sum(core.dijkstra(cid) is None for cid, _ in cached)
+    rows_checked = len(cached)
+
     # Drop the Table-I instances (graphs, warmed oracle rows, forests)
     # before the trace sections: a large standing heap taxes every GC
     # pass inside the allocation-heavy traces and blurs their ratios.
-    del instance, graph, oracle, fresh, result
+    del instance, graph, oracle, fresh, result, core, cached
 
     rebuild_costs, trace_invalidate_s = _run_online_trace(incremental=False)
     patch_costs, trace_patch_s = _run_online_trace(incremental=True)
@@ -680,6 +698,9 @@ def run_perf_core() -> dict:
         "oracle_row_ms": round(row_ms, 3),
         "sofda_largest_s": round(sofda_s, 4),
         "sofda_largest_cost": sofda_cost,
+        "sofda_largest_rows_checked": rows_checked,
+        "sofda_largest_rows_exact": rows_exact,
+        "sofda_largest_fallback_rows": fallback_rows,
         "online_trace_s": round(trace_patch_s, 4),
         "online_trace_invalidate_s": round(trace_invalidate_s, 4),
         "online_trace_cost": sum(patch_costs),
@@ -936,8 +957,19 @@ def test_perf_core(once):
         and measured["online_budget_decisions_match"]
         and measured["online_budget_under_budget"]
     )
+    # The contracted row kernel must reproduce the heap loop exactly on
+    # every row the largest cell cached, with no heap-loop fallback.
+    kernel_ok = (
+        measured["sofda_largest_rows_checked"] > 0
+        and measured["sofda_largest_rows_exact"]
+        and measured["sofda_largest_fallback_rows"] == 0
+    )
     if _strict():
         assert cost_ok, "largest-cell forest cost drifted from the baseline"
+        assert kernel_ok, (
+            "contracted row kernel diverged from the heap-loop reference "
+            "or fell back on the largest Table-I cell"
+        )
         assert trace_ok, "patched online trace diverged from full rebuild"
         assert trace_baseline_ok, "online-trace cost drifted from the baseline"
         assert planner_ok, (
@@ -977,6 +1009,8 @@ def test_perf_core(once):
         )
         assert measured["sweep_outputs_match"], "pooled sweep != serial sweep"
     shape_check("forest cost unchanged on the seeded largest cell", cost_ok)
+    shape_check("largest cell: every cached contracted row equals the "
+                "heap-loop reference, 0 fallback rows", kernel_ok)
     shape_check(
         "largest Table-I cell at least 3x faster than seed",
         not seed.get("sofda_largest_s")

@@ -12,8 +12,13 @@ incremental ``patch_topology`` repair instead of a full rebuild.
 
 The same trace replays through the default simulator (incremental
 tombstone repair) and the ``incremental=False`` invalidate-and-rebuild
-reference; both must agree on every acceptance, reroute, and
-disruption decision.
+reference.  The contract between the two is what the example checks:
+they agree on every acceptance, reroute, disruption and departure, and
+every distance the oracle serves is exact (checked per request against
+a cold oracle over the same graph).  Total costs may still differ: a
+repaired row can return a different but equally short path than a cold
+rebuild (an equal-cost tie-break, e.g. on a failure reroute), which
+moves link loads and the edges forests share.
 
 Run with:  python examples/link_failures.py
 """
@@ -22,6 +27,7 @@ import random
 
 from repro import sofda
 from repro.experiments import run_churn_comparison
+from repro.graph import FrozenOracle
 from repro.online import RequestGenerator
 from repro.topology import softlayer_network
 from repro.workload import (
@@ -39,6 +45,27 @@ HOLD_MEAN = 6.0   # mean tenant lifetime in hours
 FAIL_LINKS = 12   # failure-prone subset of the physical links
 MTBF = 30.0       # mean hours between failures, per link
 MTTR = 1.5        # mean hours to repair
+
+
+def audited(gaps):
+    """SOFDA, plus an exactness audit of the oracle it was served by.
+
+    A ``rebased`` copy serves what the live oracle serves without
+    touching its caches, so the audit cannot change the run; a cold
+    oracle over a copy of the same graph is the reference.
+    """
+    def embed(instance):
+        forest = sofda(instance).forest
+        served = instance.oracle.rebased(instance.graph.copy(), {})
+        cold = FrozenOracle(instance.graph.copy())
+        ends = sorted(instance.sources | instance.destinations, key=repr)
+        nodes = sorted(instance.vms, key=repr) + ends
+        gaps.append(max(
+            abs(served.distance(a, b) - cold.distance(a, b))
+            for a in ends for b in nodes
+        ))
+        return forest
+    return embed
 
 
 def main() -> None:
@@ -64,10 +91,12 @@ def main() -> None:
           f"{fails} link failures over {HORIZON:.0f} h "
           f"(MTBF {MTBF:.0f} h, MTTR {MTTR:.1f} h)\n")
 
-    embedder = {"SOFDA": lambda inst: sofda(inst).forest}
-    patched = run_churn_comparison(factory, embedder, schedule)["SOFDA"]
-    rebuilt = run_churn_comparison(factory, embedder, schedule,
-                                   incremental=False)["SOFDA"]
+    patched_gaps, rebuilt_gaps = [], []
+    patched = run_churn_comparison(
+        factory, {"SOFDA": audited(patched_gaps)}, schedule)["SOFDA"]
+    rebuilt = run_churn_comparison(
+        factory, {"SOFDA": audited(rebuilt_gaps)}, schedule,
+        incremental=False)["SOFDA"]
 
     print(f"{'mode':12s} {'accept':>6s} {'reject':>6s} {'reroute':>7s} "
           f"{'disrupt':>7s} {'d-rate':>7s} {'mttr(h)':>8s} "
@@ -79,13 +108,29 @@ def main() -> None:
               f"{result.mean_recovery_latency:8.2f} "
               f"{result.total_cost:11.2f}")
 
-    agree = (
-        patched.per_request_cost == rebuilt.per_request_cost
+    decisions = (
+        [c is None for c in patched.per_request_cost]
+        == [c is None for c in rebuilt.per_request_cost]
         and patched.rerouted == rebuilt.rerouted
         and patched.disrupted == rebuilt.disrupted
+        and patched.departures == rebuilt.departures
     )
-    print(f"\nincremental topology patches match the rebuild reference: "
-          f"{'yes' if agree else 'NO'}")
+    gap = max(patched_gaps + rebuilt_gaps)
+    print(f"\nincremental topology patches match the rebuild reference on "
+          f"every decision: {'yes' if decisions else 'NO'}")
+    print(f"served distances vs a cold oracle: max gap {gap:.2g} over "
+          f"{len(patched_gaps) + len(rebuilt_gaps)} requests, exact "
+          f"(<= 1e-9): {'yes' if gap <= 1e-9 else 'NO'}")
+    differing = [
+        i for i, (a, b) in enumerate(
+            zip(patched.per_request_cost, rebuilt.per_request_cost))
+        if a != b
+    ]
+    print(f"total cost gap (patched - rebuilt): "
+          f"{patched.total_cost - rebuilt.total_cost:+.2f} over "
+          f"{len(differing)} requests {differing}; with identical decisions "
+          f"and exact distances the cause is equal-cost tie-breaks "
+          f"(repaired rows may return different, equally short paths)")
 
 
 if __name__ == "__main__":

@@ -32,6 +32,15 @@ Contraction only engages above :data:`CONTRACT_MIN_INTERIOR` interior
 nodes -- small (typically integer-weighted, tie-heavy) graphs keep the
 exact dict-Dijkstra relaxation order, bit for bit.
 
+The contracted core stores its adjacency as CSR arrays and builds each
+cold row with a numpy kernel (:meth:`_ContractedCore.dijkstra`): a
+frontier min-plus relaxation for the distances, then one pass that
+recovers the parents a ``(dist, id)`` heap loop would pick from a stable
+argsort of the distances.  The rows are bit-identical to that heap loop
+(:meth:`_ContractedCore.heap_dijkstra`, kept as the reference), and a
+row whose parents cannot be proven identical -- a tight edge that does
+not increase the distance -- is rebuilt with the heap loop instead.
+
 One FrozenOracle per :class:`~repro.core.problem.SOFInstance` is shared by
 the whole SOFDA pipeline (Procedure 1 sweeps, conflict repairs, Steiner
 closures, the baselines and the online simulator) -- the single-oracle
@@ -432,12 +441,30 @@ class IndexedGraph:
 class _ContractedCore:
     """The degree-2-contracted search graph behind a :class:`FrozenOracle`.
 
+    Cold rows come from :meth:`dijkstra`, a numpy kernel over the CSR
+    arrays that returns exactly the labels of the heap loop
+    :meth:`heap_dijkstra` (or ``None`` when it cannot prove that, and
+    the oracle runs the heap loop).  Weights change only through
+    :meth:`_set_row_weight`, which keeps the CSR weights and the lazily
+    built tuple :attr:`rows` in step.
+
     Attributes:
         nodes / index: intern table over the *core* nodes (hot nodes and
             every node of degree != 2).
-        rows: per-core-node ``(weight, neighbor_cid)`` adjacency; parallel
+        indptr / indices / weights: the core adjacency in CSR form
+            (``int32`` slot offsets and neighbour ids, ``float64``
+            weights); node ``a``'s slots are ``indptr[a]:indptr[a + 1]``
+            and every edge is stored in both directions.  Parallel
             candidates (an original edge and/or several spliced chains
             between the same core pair) are reduced to the cheapest one.
+            This is the adjacency the row kernel (:meth:`dijkstra`)
+            reads.
+        rows: the same adjacency as per-node ``(weight, neighbor_cid)``
+            tuples in slot order -- the shape the repair engine and the
+            heap reference loop iterate.  Built lazily from the CSR
+            arrays on first access (read-only pipelines never pay for
+            them) and kept in step by :meth:`_set_row_weight`, the single
+            weight-mutation point.
         meta: ``(a_cid, b_cid) -> interior node tuple`` for every kept
             spliced edge, in a->b order (both orientations stored), used to
             re-expand reconstructed paths.
@@ -463,8 +490,9 @@ class _ContractedCore:
     """
 
     __slots__ = (
-        "nodes", "index", "rows", "meta", "chains", "interior",
-        "chain_weights", "pair_direct", "chain_by_pair", "edge_loc",
+        "nodes", "index", "indptr", "indices", "weights", "_rows", "meta",
+        "chains", "interior", "chain_weights", "pair_direct",
+        "chain_by_pair", "edge_loc",
     )
 
     def __init__(self, graph: Graph, protected: set) -> None:
@@ -554,27 +582,120 @@ class _ContractedCore:
             if node not in is_core and node not in visited:
                 self.interior.add(node)
 
-        adjacency: List[List[Tuple[float, int]]] = [[] for _ in self.nodes]
         self.meta: Dict[Tuple[int, int], Tuple[Node, ...]] = {}
-        for (a, b), (weight, interiors) in candidates.items():
-            adjacency[a].append((weight, b))
-            adjacency[b].append((weight, a))
+        for (a, b), (_, interiors) in candidates.items():
             if interiors:
                 self.meta[(a, b)] = interiors
                 self.meta[(b, a)] = tuple(reversed(interiors))
-        self.rows: List[Tuple[Tuple[float, int], ...]] = [
-            tuple(row) for row in adjacency
-        ]
+        # CSR over both directions of every kept pair.  A stable sort by
+        # owning node lists each node's slots in candidate order.
+        pairs = np.array(list(candidates), dtype=np.int32).reshape(-1, 2)
+        kept = np.fromiter(
+            (weight for weight, _ in candidates.values()), np.float64,
+            len(candidates),
+        )
+        owner = pairs.ravel()
+        order = np.argsort(owner, kind="stable")
+        self.indices = pairs[:, ::-1].ravel()[order]
+        self.weights = np.repeat(kept, 2)[order]
+        self.indptr = np.zeros(len(self.nodes) + 1, dtype=np.int32)
+        np.cumsum(
+            np.bincount(owner, minlength=len(self.nodes)),
+            out=self.indptr[1:],
+        )
+        self._rows: Optional[List[Tuple[Tuple[float, int], ...]]] = None
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def dijkstra(self, source: int) -> Tuple[List[float], List[int]]:
-        """Full single-source Dijkstra over the contracted core.
+    @property
+    def rows(self) -> List[Tuple[Tuple[float, int], ...]]:
+        """Per-node ``(weight, neighbor_cid)`` tuples, built on first use."""
+        if self._rows is None:
+            indptr = self.indptr.tolist()
+            indices = self.indices.tolist()
+            weights = self.weights.tolist()
+            self._rows = [
+                tuple(zip(weights[lo:hi], indices[lo:hi]))
+                for lo, hi in zip(indptr, indptr[1:])
+            ]
+        return self._rows
+
+    def dijkstra(self, source: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Full single-source row over the contracted core, in numpy.
+
+        Returns the labels :meth:`heap_dijkstra` would return, bit for
+        bit, as ``float64``/``int64`` arrays -- or ``None`` when they
+        cannot be proven identical, in which case the caller runs the
+        heap loop itself.
+
+        *Distances* come from a frontier min-plus relaxation: each round
+        relaxes only the out-slots of nodes whose label dropped in the
+        previous round (``np.minimum.at``).  A label is the same
+        left-fold float sum ``D[u] + w`` the heap loop computes, and both
+        loops reach the minimum over all walks of those sums (rounding
+        is monotone and weights are non-negative), so the labels agree
+        exactly.
+
+        *Parents* follow from the heap loop's pop order.  It pops
+        ``(dist, id)`` pairs, so as long as every tight slot (``D[u] + w
+        == D[v]``) strictly increases the label, it settles nodes in
+        ascending ``(D, id)`` order -- the order of a stable argsort of
+        ``D`` -- and keeps, for each ``v``, the first settled tight
+        neighbour.  One ``np.minimum.at`` over the tight slots picks that
+        neighbour by rank.  The source and unreached nodes keep parent
+        ``-1`` (a tight slot into the source would need ``D[u] == 0 ==
+        D[source]``, which the guard refuses).
+
+        *Guard*: a tight slot with ``D[u] == D[v]`` (a zero or sub-ulp
+        weight) breaks the pop-order argument, so the row is refused
+        (``None``).
+        """
+        indptr, indices, weights = self.indptr, self.indices, self.weights
+        n = len(self.nodes)
+        dist = np.full(n, INF)
+        dist[source] = 0.0
+        frontier = np.array([source], dtype=np.int32)
+        while frontier.size:
+            # The out-slots of every frontier node, as one flat index.
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            ends = np.cumsum(counts)
+            slot = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+            before = dist.copy()
+            np.minimum.at(
+                dist, indices[slot],
+                np.repeat(dist[frontier], counts) + weights[slot],
+            )
+            frontier = np.flatnonzero(dist < before)
+
+        # Slot ``s`` in node v's segment names neighbour u = indices[s];
+        # edges are stored both ways, so it is also the edge u -> v.
+        owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        d_u = dist[indices]
+        d_v = dist[owner]
+        tight = (d_u + weights == d_v) & (d_v < INF)
+        if (tight & (d_u == d_v)).any():
+            return None
+        order = np.argsort(dist, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        slot = np.flatnonzero(tight)
+        best = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best, owner[slot], rank[indices[slot]])
+        parent = np.full(n, -1, dtype=np.int64)
+        found = best < n
+        parent[found] = order[best[found]]
+        return dist, parent
+
+    def heap_dijkstra(self, source: int) -> Tuple[List[float], List[int]]:
+        """Reference single-source Dijkstra over :attr:`rows` (heap loop).
 
         Heap entries are plain ``(dist, id)`` pairs: the contracted core
         only engages on continuous-cost instances, where exact distance
         ties are measure-zero, so no insertion-counter tie-break is kept.
+        :meth:`dijkstra` reproduces this loop's labels and falls back to
+        it when it cannot.
         """
         n = len(self.nodes)
         dist = [INF] * n
@@ -633,13 +754,17 @@ class _ContractedCore:
             self.edge_loc = loc
         return self.edge_loc
 
+    def _slot(self, a: int, b: int) -> int:
+        """The CSR slot of the kept core edge ``a -> b``."""
+        lo = int(self.indptr[a])
+        hits = np.flatnonzero(self.indices[lo:self.indptr[a + 1]] == b)
+        if not hits.size:
+            raise KeyError(f"core pair {(a, b)} has no kept edge")
+        return lo + int(hits[0])
+
     def _kept_weight(self, key: Tuple[int, int]) -> float:
         """The currently kept core-edge weight of a candidate pair."""
-        a, b = key
-        for w, nb in self.rows[a]:
-            if nb == b:
-                return w
-        raise KeyError(f"core pair {key} has no kept edge")
+        return float(self.weights[self._slot(*key)])
 
     def _recompute_kept(
         self, key: Tuple[int, int]
@@ -662,9 +787,12 @@ class _ContractedCore:
         return best, best_interiors
 
     def _set_row_weight(self, a: int, b: int, weight: float) -> None:
-        self.rows[a] = tuple(
-            (weight, nb) if nb == b else (w, nb) for w, nb in self.rows[a]
-        )
+        """Set the kept weight of ``a -> b`` in the CSR and tuple rows."""
+        self.weights[self._slot(a, b)] = weight
+        if self._rows is not None:
+            self._rows[a] = tuple(
+                (weight, nb) if nb == b else (w, nb) for w, nb in self._rows[a]
+            )
 
     def patch_edges(
         self, changes: Iterable[Tuple[Node, Node, float]]
@@ -730,7 +858,10 @@ class _ContractedCore:
         dup.nodes = self.nodes
         dup.index = self.index
         dup.interior = self.interior
-        dup.rows = list(self.rows)
+        dup.indptr = self.indptr
+        dup.indices = self.indices
+        dup.weights = self.weights.copy()
+        dup._rows = None if self._rows is None else list(self._rows)
         dup.meta = dict(self.meta)
         dup.chains = list(self.chains)
         dup.chain_weights = [list(w) for w in self.chain_weights]
@@ -1823,7 +1954,12 @@ class FrozenOracle:
         uniformly typed.  Scalar reads still return plain Python
         floats/ints, while the repair and batch-query layers wrap the
         same memory zero-copy as numpy views (:func:`_f8`, :func:`_i8`).
+        The contracted row kernel hands over ``float64``/``int64`` numpy
+        arrays instead, which are copied by their raw bytes.
         """
+        if isinstance(dist, np.ndarray):
+            return _Row(array("d", dist.tobytes()),
+                        array("q", parent.tobytes()), settled, full)
         return _Row(array("d", dist), array("q", parent), settled, full)
 
     def _build(self) -> None:
@@ -2466,12 +2602,20 @@ class FrozenOracle:
         if row is None:
             mx = self._metrics
             t0 = mx.clock() if mx else 0.0
-            dist, parent = self._contracted.dijkstra(cid)
-            row = self._freeze_row(dist, parent, None, True)
+            labels = self._contracted.dijkstra(cid)
+            kind = "cold"
+            if labels is None:
+                # The numpy kernel could not prove its parents match the
+                # heap loop's (a zero-gap tight edge): run the heap loop.
+                labels = self._contracted.heap_dijkstra(cid)
+                kind = "fallback"
+            row = self._freeze_row(*labels, None, True)
             self._install_row(cid, row)
             if mx:
                 mx.inc("oracle.rows.cold")
-                mx.span("oracle.row_build", t0, kind="cold")
+                if kind == "fallback":
+                    mx.inc("oracle.rows.fallback")
+                mx.span("oracle.row_build", t0, kind=kind)
         row.used = True
         return row
 

@@ -412,10 +412,15 @@ class OnlineSimulator:
             raise ValueError(f"({u!r}, {v!r}) is not a live link")
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        # The VM pool is the online mode's standing working set (every
-        # request's Procedure-1 sweep reads all of it): touch it before
-        # patching, exactly as ``apply_background_load`` does, so the
-        # repair keeps the pool rows instead of evicting them as idle.
+        # Touch the VM pool (the online mode's standing working set)
+        # before patching, as ``apply_background_load`` does.  That keeps
+        # the pool rows through one patch only: when the sync below
+        # patches costs, it clears every row's ``used`` mark, and the
+        # topology patch after it then evicts the whole pool as idle, so
+        # the next request rebuilds it cold.  Touching the pool again
+        # before the topology patch would keep it, but repaired rows
+        # break equal-cost ties differently from cold rebuilds, which
+        # moves recorded per-request costs.
         self._oracle.prefetch_rows(self._vms)
         self._sync_costs()
         if self._incremental:
@@ -493,8 +498,9 @@ class OnlineSimulator:
             raise ValueError(f"link {key!r} is not a failed link")
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        # Keep the VM-pool working set alive through the reinsert patch
-        # (see :meth:`fail_link`).
+        # As in :meth:`fail_link`: this touch keeps the VM pool only
+        # through the sync patch; if that patch ran, the reinsert patch
+        # evicts the pool as idle.
         self._oracle.prefetch_rows(self._vms)
         self._sync_costs()
         cost = max(self._tracker.link_cost(u, v), self._cost_floor)
