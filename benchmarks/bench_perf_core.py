@@ -13,6 +13,12 @@ tracks the *repo's own* performance trajectory.  It measures:
   contracted row that run cached, checked against the heap-loop
   reference (``_ContractedCore.heap_dijkstra``), and how many of them the
   numpy row kernel refused (must be 0);
+- ``online_kernel_rows_exact`` / ``online_kernel_fallback_rows``: after
+  the churn and failure traces, every non-stale cached row of their
+  (uncontracted) oracles, and a kernel rebuild of each VM pool on the
+  final costs and tombstones, checked against the heap loop
+  (``IndexedGraph.dijkstra``); refused rows from those rebuilds and from
+  the metered churn replay must number 0;
 - ``online_trace_s`` / ``online_trace_invalidate_s``: a 12-request online
   trace (Fig.-12 style, 5000-node Inet topology) replayed through the
   incremental ``patch_edge_costs`` path and the historical full-rebuild
@@ -74,7 +80,8 @@ the measured ratios instead.  Set ``SOF_PERF_STRICT=1`` to make the
 *correctness* anchors hard failures: the largest-cell forest cost and the
 online-trace costs must match the committed baselines, the largest
 cell's cached contracted rows must equal the heap-loop reference with
-no kernel fallback, the planned
+no kernel fallback, so must the churn and failure traces' uncontracted
+rows, the planned
 repair path must stay bit-identical to the per-row reference on the
 many-rows trace, the region-shared repair must stay bit-identical
 to the unshared planned path on the dense-patch trace, and the churn
@@ -94,6 +101,7 @@ import json
 import os
 import random
 import time
+from array import array
 from pathlib import Path
 
 from _util import shape_check
@@ -354,7 +362,7 @@ def _run_churn_trace(incremental: bool, metrics=None):
     build (a zero-demand background tick warms all 200 rows) stay
     outside the timed window: only the event loop -- arrivals,
     departures releasing leases, background re-pricing -- is measured.
-    Returns ``(ChurnResult, elapsed_seconds)``.
+    Returns ``(ChurnResult, elapsed_seconds, simulator)``.
     """
     from repro.workload import WorkloadEngine
 
@@ -377,7 +385,7 @@ def _run_churn_trace(incremental: bool, metrics=None):
     assert result.departures == result.accepted and result.final_active == 0, (
         "churn trace must drain every tenant (departures == arrivals)"
     )
-    return result, elapsed
+    return result, elapsed, simulator
 
 
 #: Failure trace shape: the churn topology and arrival stream with a
@@ -440,7 +448,7 @@ def _run_failure_trace(incremental: bool):
     churn: ``incremental=True`` absorbs each topology change as a
     :meth:`FrozenOracle.patch_topology` tombstone repair, the reference
     invalidates and rebuilds every cached row.  Returns
-    ``(ChurnResult, elapsed_seconds)``.
+    ``(ChurnResult, elapsed_seconds, simulator)``.
     """
     from repro.workload import WorkloadEngine
 
@@ -459,7 +467,59 @@ def _run_failure_trace(incremental: bool):
         f"failure trace must fail and recover links "
         f"(failures={result.failures}, recoveries={result.recoveries})"
     )
-    return result, elapsed
+    return result, elapsed, simulator
+
+
+def _kernel_rows_check(simulator):
+    """Hold one simulator's uncontracted rows to the heap loop.
+
+    After a trace, every non-stale cached row was built cold by the
+    numpy row kernel (``IndexedGraph.batch_rows``) since the last patch,
+    so it must equal ``IndexedGraph.dijkstra`` bit for bit: distances,
+    parents and settled flags.  A trace usually ends on a patch, which
+    leaves every cached row stale, so the kernel also rebuilds the whole
+    VM pool twice -- on the trace's final costs, and again after one
+    more link failure (a datacenter uplink, tombstoned in place) -- and
+    each rebuild must match the heap loop and refuse no row.  Returns
+    ``(rows_checked, cached_rows_checked, rows_exact, fallback_rows)``.
+    """
+    oracle = simulator._oracle
+    if oracle.contracted is not None:
+        return 0, 0, False, 0
+    core = oracle.core
+    cached = {sid: row for sid, row in oracle._rows.items() if not row.stale}
+
+    def heap_row(sid):
+        dist, parent, settled, _ = core.dijkstra(sid)
+        return (array("d", dist).tobytes(), array("q", parent).tobytes(),
+                settled)
+
+    exact = all(
+        (row.dist.tobytes(), row.parent.tobytes(), row.settled)
+        == heap_row(sid)
+        for sid, row in cached.items()
+    )
+    vms = simulator.vms
+    pool = [core.id_of(vm) for vm in vms]
+    (dc, _), = oracle.graph.neighbor_items(vms[0])
+    vm_set = set(vms)
+    uplink = min((nb for nb, _ in oracle.graph.neighbor_items(dc)
+                  if nb not in vm_set), key=repr)
+    checked = fallback = 0
+    step = core.kernel_chunk()
+    for failed in (False, True):
+        if failed:
+            simulator.fail_link(dc, uplink)
+        for lo in range(0, len(pool), step):
+            chunk = pool[lo:lo + step]
+            for sid, labels in zip(chunk, core.batch_rows(chunk)):
+                checked += 1
+                if labels is None:
+                    fallback += 1
+                elif (labels[0].tobytes(), labels[1].tobytes(),
+                      labels[2]) != heap_row(sid):
+                    exact = False
+    return checked + len(cached), len(cached), exact, fallback
 
 
 #: Budgeted-churn trace shape: a 50k-node Inet topology (the scale
@@ -642,19 +702,24 @@ def run_perf_core() -> dict:
     # invalidate ratio, the workload-engine acceptance metric.
     churn_invalidate_s = churn_patch_s = float("inf")
     for _ in range(2):
-        churn_rebuild, elapsed = _run_churn_trace(incremental=False)
+        churn_rebuild, elapsed, _ = _run_churn_trace(incremental=False)
         churn_invalidate_s = min(churn_invalidate_s, elapsed)
-        churn_patched, elapsed = _run_churn_trace(incremental=True)
+        churn_patched, elapsed, simulator = _run_churn_trace(incremental=True)
         churn_patch_s = min(churn_patch_s, elapsed)
+    churn_kernel = _kernel_rows_check(simulator)
 
     # Interleaved best-of-two for the failure-recovery ratio: topology
     # tombstone patches versus invalidate-and-rebuild per link event.
     failures_invalidate_s = failures_patch_s = float("inf")
     for _ in range(2):
-        failures_rebuild, elapsed = _run_failure_trace(incremental=False)
+        failures_rebuild, elapsed, _ = _run_failure_trace(incremental=False)
         failures_invalidate_s = min(failures_invalidate_s, elapsed)
-        failures_patched, elapsed = _run_failure_trace(incremental=True)
+        failures_patched, elapsed, simulator = _run_failure_trace(
+            incremental=True
+        )
         failures_patch_s = min(failures_patch_s, elapsed)
+    failures_kernel = _kernel_rows_check(simulator)
+    del simulator
 
     # Per-phase attribution: one metrics-on pass per tracked trace.  The
     # recorder never rides inside the timed windows above (the strict
@@ -665,16 +730,16 @@ def run_perf_core() -> dict:
     from repro.obs import MetricsRegistry, Recorder, phase_breakdown
 
     churn_recorder = Recorder(registry=MetricsRegistry())
-    churn_metered, _ = _run_churn_trace(
+    churn_metered, _, _ = _run_churn_trace(
         incremental=True, metrics=churn_recorder
     )
     many_rows_recorder = Recorder(registry=MetricsRegistry())
     metered_costs, _ = _run_many_rows_trace(
         planner=True, metrics=many_rows_recorder
     )
+    churn_snapshot = churn_recorder.snapshot()
     churn_phases = {
-        k: round(v, 4)
-        for k, v in phase_breakdown(churn_recorder.snapshot()).items()
+        k: round(v, 4) for k, v in phase_breakdown(churn_snapshot).items()
     }
     many_rows_phases = {
         k: round(v, 4)
@@ -752,6 +817,17 @@ def run_perf_core() -> dict:
             and failures_patched.rerouted == failures_rebuild.rerouted
             and failures_patched.disrupted == failures_rebuild.disrupted
             and failures_patched.departures == failures_rebuild.departures
+        ),
+        "online_kernel_rows_checked": churn_kernel[0] + failures_kernel[0],
+        "online_kernel_cached_rows_checked": (
+            churn_kernel[1] + failures_kernel[1]
+        ),
+        "online_kernel_rows_exact": churn_kernel[2] and failures_kernel[2],
+        # Refused rows: the final-state rebuilds plus every row the
+        # metered churn replay built.
+        "online_kernel_fallback_rows": (
+            churn_kernel[3] + failures_kernel[3]
+            + churn_snapshot["counters"].get("oracle.rows.fallback", 0)
         ),
         "online_failures_rerouted": failures_patched.rerouted,
         "online_failures_disrupted": failures_patched.disrupted,
@@ -964,11 +1040,23 @@ def test_perf_core(once):
         and measured["sofda_largest_rows_exact"]
         and measured["sofda_largest_fallback_rows"] == 0
     )
+    # The uncontracted row kernel must reproduce the heap loop exactly
+    # on the churn and failure traces' oracles, with no heap-loop
+    # fallback.
+    online_kernel_ok = (
+        measured["online_kernel_rows_checked"] > 0
+        and measured["online_kernel_rows_exact"]
+        and measured["online_kernel_fallback_rows"] == 0
+    )
     if _strict():
         assert cost_ok, "largest-cell forest cost drifted from the baseline"
         assert kernel_ok, (
             "contracted row kernel diverged from the heap-loop reference "
             "or fell back on the largest Table-I cell"
+        )
+        assert online_kernel_ok, (
+            "uncontracted row kernel diverged from the heap-loop "
+            "reference or fell back after the churn / failure traces"
         )
         assert trace_ok, "patched online trace diverged from full rebuild"
         assert trace_baseline_ok, "online-trace cost drifted from the baseline"
@@ -1011,6 +1099,9 @@ def test_perf_core(once):
     shape_check("forest cost unchanged on the seeded largest cell", cost_ok)
     shape_check("largest cell: every cached contracted row equals the "
                 "heap-loop reference, 0 fallback rows", kernel_ok)
+    shape_check("churn / failure traces: every cached and rebuilt "
+                "uncontracted row equals the heap-loop reference, "
+                "0 fallback rows", online_kernel_ok)
     shape_check(
         "largest Table-I cell at least 3x faster than seed",
         not seed.get("sofda_largest_s")

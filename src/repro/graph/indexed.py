@@ -16,6 +16,14 @@ core the hot paths share:
   The relaxation order (including the push-counter tie-break) replicates
   :func:`repro.graph.shortest_paths.dijkstra` exactly, so the two return
   identical distances *and* identical shortest-path trees.
+- :meth:`IndexedGraph.batch_rows` -- a numpy kernel that builds several
+  full rows at once and returns exactly what :meth:`IndexedGraph.dijkstra`
+  returns for them: the same frontier min-plus relaxation as the
+  contracted core's kernel (:func:`_relax`) for the distances, and the
+  heap loop's pop order -- ``(dist, pop index of the parent, parent's
+  slot)`` -- rebuilt over the few tie levels for the parents.  The
+  oracle builds every uncontracted full row with it; the heap loop
+  stays for early-stopped rows and for the rows the kernel refuses.
 - :class:`FrozenOracle` -- a drop-in replacement for
   :class:`~repro.graph.shortest_paths.DistanceOracle` over a graph that is
   not mutated while cached.  Rows are computed lazily into flat arrays; a
@@ -124,6 +132,11 @@ CONTRACT_MIN_INTERIOR = 64
 CONTRACT_MIN_DISTINCT_COSTS = 0.5
 
 
+#: Label slots (rows x CSR slots) per :meth:`IndexedGraph.batch_rows`
+#: call on the oracle's full-row path: bounds the kernel's temporaries
+#: (about 2 MB) whatever the graph size.
+KERNEL_CHUNK_SLOTS = 1 << 15
+
 #: How many edges the continuity probe inspects (deterministic prefix of
 #: the enumeration order) -- plenty to separate drawn-cost graphs from
 #: uniform/integer-cost ones without an O(E) scan per oracle build.
@@ -166,6 +179,41 @@ def _i8(buf: array):
 def _u8(buf: bytearray):
     """Zero-copy ``uint8`` view of a ``settled``/membership bytearray."""
     return np.frombuffer(buf, dtype=np.uint8)
+
+
+def _relax(indptr, indices, weights, dist, frontier) -> None:
+    """Run a frontier min-plus relaxation to its fixpoint, in place.
+
+    ``dist`` is a C-contiguous ``(rows, n)`` ``float64`` array holding one
+    label row per source over the CSR graph ``indptr``/``indices``/
+    ``weights``; ``frontier`` holds the flat indices (``row * n + node``)
+    of the labels to relax from first (the sources, at ``0.0``).  Each
+    round relaxes only the out-slots of nodes whose label dropped in the
+    previous round (``np.minimum.at``), so rows never mix.
+
+    A label is the same left-fold float sum ``D[u] + w`` a heap
+    Dijkstra computes, and both reach the minimum over all walks of
+    those sums (rounding is monotone and weights are non-negative), so
+    the labels match a heap loop's exactly.  ``inf`` weights
+    (tombstones, poisoned chains) never lower a label.
+    """
+    rows, n = dist.shape
+    flat = dist.reshape(-1)
+    while frontier.size:
+        node = frontier % n if rows > 1 else frontier
+        # The out-slots of every frontier node, as one flat index.
+        starts = indptr[node]
+        counts = indptr[node + 1] - starts
+        ends = np.cumsum(counts)
+        slot = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+        target = indices[slot]
+        if rows > 1:
+            target += np.repeat(frontier - node, counts)
+        before = flat.copy()
+        np.minimum.at(
+            flat, target, np.repeat(flat[frontier], counts) + weights[slot],
+        )
+        frontier = np.flatnonzero(flat < before)
 
 
 def _target_ids(index: Dict, targets: Sequence) -> Optional[List[int]]:
@@ -216,9 +264,14 @@ class IndexedGraph:
         indptr, indices, weights: CSR adjacency -- the neighbors of node
             ``i`` are ``indices[indptr[i]:indptr[i+1]]`` with edge costs in
             the matching slice of ``weights``.
+
+    Full rows are built by :meth:`batch_rows`, a numpy kernel over the
+    same CSR; :meth:`dijkstra` is its heap-loop reference and serves the
+    early-stopped rows and the rows the kernel refuses.
     """
 
-    __slots__ = ("nodes", "index", "indptr", "indices", "weights", "_rows")
+    __slots__ = ("nodes", "index", "indptr", "indices", "weights", "_rows",
+                 "_topology", "_weights")
 
     def __init__(
         self,
@@ -240,6 +293,11 @@ class IndexedGraph:
                       indices[indptr[i]:indptr[i + 1]]))
             for i in range(len(nodes))
         ]
+        #: numpy copies of the CSR for :meth:`batch_rows`, built on first
+        #: use: the topology arrays are shared by clones, the weights are
+        #: dropped by every weight mutation.
+        self._topology: Optional[Tuple[np.ndarray, ...]] = None
+        self._weights: Optional[np.ndarray] = None
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "IndexedGraph":
@@ -301,7 +359,12 @@ class IndexedGraph:
         self._rebuild_live_rows(touched)
 
     def _rebuild_live_rows(self, touched: Iterable[int]) -> None:
-        """Refresh the pre-zipped rows of ``touched``, skipping tombstones."""
+        """Refresh the pre-zipped rows of ``touched``, skipping tombstones.
+
+        Every weight mutation ends here, so this also drops the kernel's
+        numpy weights.
+        """
+        self._weights = None
         indptr, indices, weights = self.indptr, self.indices, self.weights
         for node in touched:
             self._rows[node] = tuple(
@@ -372,6 +435,8 @@ class IndexedGraph:
         dup.indices = self.indices
         dup.weights = list(self.weights)
         dup._rows = list(self._rows)
+        dup._topology = self._topology
+        dup._weights = None
         return dup
 
     # ------------------------------------------------------------------
@@ -380,7 +445,13 @@ class IndexedGraph:
         source: int,
         targets: Optional[Iterable[int]] = None,
     ) -> Tuple[List[float], List[int], bytearray, bool]:
-        """Single-source Dijkstra over int ids.
+        """Single-source heap Dijkstra over int ids.
+
+        The reference loop: :meth:`batch_rows` returns exactly this
+        loop's full rows, and the oracle runs this loop itself only for
+        early-stopped rows (``targets``) and for the rows the kernel
+        refuses (its fallback).  Heap entries are ``(dist, push counter,
+        id)``, so equal distances pop in push order.
 
         Args:
             source: start node id.
@@ -436,6 +507,163 @@ class IndexedGraph:
                     push(heap, (nd, counter, v))
                     counter += 1
         return dist, parent, settled, exhausted
+
+    def _kernel_arrays(self) -> Tuple[np.ndarray, ...]:
+        """``(indptr, indices, owner, rev, weights)`` numpy arrays.
+
+        ``owner[s]`` is the node whose segment holds slot ``s`` and
+        ``rev[s]`` the slot of the same edge in the other direction.
+        """
+        if self._topology is None:
+            indptr = np.asarray(self.indptr, dtype=np.intp)
+            indices = np.asarray(self.indices, dtype=np.intp)
+            owner = np.repeat(
+                np.arange(len(self.nodes), dtype=np.intp), np.diff(indptr)
+            )
+            # The k-th slot in (owner, neighbour) order and the k-th in
+            # (neighbour, owner) order are the two directions of one edge.
+            rev = np.empty_like(indices)
+            rev[np.lexsort((owner, indices))] = np.lexsort((indices, owner))
+            self._topology = (indptr, indices, owner, rev)
+        if self._weights is None:
+            self._weights = np.asarray(self.weights, dtype=np.float64)
+        return self._topology + (self._weights,)
+
+    def kernel_chunk(self) -> int:
+        """Rows per :meth:`batch_rows` call that keep its temporaries small.
+
+        About :data:`KERNEL_CHUNK_SLOTS` label slots per call: 7 rows on
+        the 1000-node Inet, one row on 50k-node graphs.
+        """
+        return max(1, KERNEL_CHUNK_SLOTS // max(1, len(self.indices)))
+
+    def batch_rows(
+        self, sources: Sequence[int],
+    ) -> List[Optional[Tuple[np.ndarray, np.ndarray, bytearray]]]:
+        """Full rows for ``sources`` in one numpy pass.
+
+        Entry ``i`` is ``(dist, parent, settled)`` for ``sources[i]``,
+        bit for bit what ``dijkstra(sources[i])`` returns (as
+        ``float64``/``int64`` arrays and a ``bytearray``), or ``None``
+        when the row is refused and the caller must run :meth:`dijkstra`.
+        Temporaries grow with ``len(sources) * len(indices)``; callers
+        batch :meth:`kernel_chunk` sources at a time.
+
+        *Distances* come from :func:`_relax` over a ``(rows, n)`` array.
+
+        *Parents* follow from the heap loop's pop order.  Node ``v``'s
+        settling entry is pushed exactly once, by its first-popped tight
+        in-neighbour ``p`` (``D[p] + w == D[v]``), which is also its
+        parent: later tight neighbours do not strictly improve the
+        label.  Entries pop in ``(dist, push counter)`` order and ``p``
+        pushes during its own pop, in slot order, so the pop order is
+        the lexicographic order of ``(D[v], pop index of p, p's slot
+        toward v)``.  A stable argsort of ``D`` already gives that order
+        wherever ``D`` is unique and the parent is the only tight
+        in-neighbour.  Only *tie levels* -- an equal-``D`` run, or a node
+        with two or more tight in-neighbours -- need their ranks fixed,
+        and they are fixed in ascending ``D``: the ``j``-th tie level of
+        every row at once, each node keyed by the smallest ``(rank of
+        p, slot of p toward v)`` over its tight in-neighbours, whose
+        ranks are final by then.  The loop runs once per tie level, not
+        per distinct distance.
+
+        *Settled* flags are the reached nodes: a full row settles every
+        node with a finite label.
+
+        *Guard*: a tight slot with ``D[u] == D[v]`` (a zero or sub-ulp
+        weight) breaks the pop-order argument -- the parent would pop at
+        the child's own level -- so that row is refused.
+        """
+        indptr, indices, owner, rev, weights = self._kernel_arrays()
+        n = len(self.nodes)
+        slots = len(indices)
+        rows = len(sources)
+        dist = np.full((rows, n), INF)
+        frontier = np.arange(rows) * n + np.asarray(sources, dtype=np.intp)
+        dist.reshape(-1)[frontier] = 0.0
+        _relax(indptr, indices, weights, dist, frontier)
+
+        # Slot ``s`` in node v's segment names neighbour u = indices[s];
+        # edges are stored both ways, so it is also the edge u -> v.
+        d_u = dist[:, indices]
+        d_v = dist[:, owner]
+        tight = d_u + weights == d_v
+        tight &= d_v < INF
+        refused = (tight & (d_u == d_v)).any(axis=1)
+        t_row, t_slot = np.nonzero(tight)
+        t_child = t_row * n + owner[t_slot]
+        # Flat (row * n + node) labels from here on.  Every reached node
+        # but the source has a tight in-neighbour; a node with only one
+        # has its parent now, the tie levels below overwrite the rest.
+        parent = np.full(rows * n, -1, dtype=np.int64)
+        parent[t_child] = indices[t_slot]
+        order = np.argsort(dist, axis=1, kind="stable")
+        order += (np.arange(rows) * n)[:, None]
+        order = order.reshape(-1)
+        sorted_d = dist.reshape(-1)[order]
+        tie = (np.bincount(t_child, minlength=rows * n) >= 2)[order]
+        run = sorted_d[1:] == sorted_d[:-1]
+        run &= sorted_d[1:] < INF
+        run[n - 1::n] = False  # never across a row boundary
+        tie[1:] |= run
+        tie[:-1] |= run
+        tie.reshape(rows, n)[refused] = False
+        at = np.flatnonzero(tie)  # sorted positions of tie-level nodes
+        if at.size:
+            rank = np.empty(rows * n, dtype=np.int64)
+            rank[order] = np.arange(rows * n)
+            node = order[at]
+            # Group the tie nodes into levels (one row, one distance)
+            # and number each row's levels from 0 in ascending ``D``.
+            level_d = sorted_d[at]
+            level_row = at // n
+            first = np.empty(at.size, dtype=bool)
+            first[0] = True
+            first[1:] = level_d[1:] != level_d[:-1]
+            first[1:] |= level_row[1:] != level_row[:-1]
+            level = np.cumsum(first) - 1
+            level_start = at[first]
+            starts_row = level_row[first]
+            level_step = (np.arange(starts_row.size)
+                          - np.searchsorted(starts_row, starts_row))
+            step = level_step[level]
+            # The tight in-slots of every tie node, ordered by step.
+            tie_index = np.full(rows * n, -1, dtype=np.intp)
+            tie_index[node] = np.arange(at.size)
+            c_node = tie_index[t_child]
+            keep = np.flatnonzero(c_node >= 0)
+            by_step = np.argsort(step[c_node[keep]], kind="stable")
+            keep = keep[by_step]
+            c_node = c_node[keep]
+            c_parent = t_row[keep] * n + indices[t_slot[keep]]
+            c_rev = rev[t_slot[keep]]
+            bounds = np.searchsorted(
+                step[c_node], np.arange(int(level_step.max()) + 2)
+            )
+            best = np.full(at.size, np.iinfo(np.int64).max)
+            for j in range(len(bounds) - 1):
+                lo, hi = bounds[j], bounds[j + 1]
+                # Flat ranks already separate rows, so one key sorts
+                # every row's j-th level at once.
+                np.minimum.at(best, c_node[lo:hi],
+                              rank[c_parent[lo:hi]] * slots + c_rev[lo:hi])
+                members = np.flatnonzero(step == j)
+                members = members[np.argsort(best[members])]
+                lv = level[members]
+                child = node[members]
+                rank[child] = (level_start[lv] + np.arange(members.size)
+                               - np.searchsorted(lv, lv))
+                parent[child] = owner[best[members] % slots]
+
+        parent = parent.reshape(rows, n)
+        reached = (dist < INF).view(np.uint8)
+        return [
+            None if refused[r] else (
+                dist[r], parent[r], bytearray(reached[r].tobytes())
+            )
+            for r in range(rows)
+        ]
 
 
 class _ContractedCore:
@@ -629,13 +857,9 @@ class _ContractedCore:
         cannot be proven identical, in which case the caller runs the
         heap loop itself.
 
-        *Distances* come from a frontier min-plus relaxation: each round
-        relaxes only the out-slots of nodes whose label dropped in the
-        previous round (``np.minimum.at``).  A label is the same
-        left-fold float sum ``D[u] + w`` the heap loop computes, and both
-        loops reach the minimum over all walks of those sums (rounding
-        is monotone and weights are non-negative), so the labels agree
-        exactly.
+        *Distances* come from the frontier min-plus relaxation
+        :func:`_relax` (shared with :meth:`IndexedGraph.batch_rows`), so
+        the labels agree exactly.
 
         *Parents* follow from the heap loop's pop order.  It pops
         ``(dist, id)`` pairs, so as long as every tight slot (``D[u] + w
@@ -653,21 +877,10 @@ class _ContractedCore:
         """
         indptr, indices, weights = self.indptr, self.indices, self.weights
         n = len(self.nodes)
-        dist = np.full(n, INF)
-        dist[source] = 0.0
-        frontier = np.array([source], dtype=np.int32)
-        while frontier.size:
-            # The out-slots of every frontier node, as one flat index.
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            ends = np.cumsum(counts)
-            slot = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-            before = dist.copy()
-            np.minimum.at(
-                dist, indices[slot],
-                np.repeat(dist[frontier], counts) + weights[slot],
-            )
-            frontier = np.flatnonzero(dist < before)
+        dist = np.full((1, n), INF)
+        dist[0, source] = 0.0
+        _relax(indptr, indices, weights, dist, np.array([source]))
+        dist = dist[0]
 
         # Slot ``s`` in node v's segment names neighbour u = indices[s];
         # edges are stored both ways, so it is also the edge u -> v.
@@ -2016,7 +2229,9 @@ class FrozenOracle:
         state is deterministic.  Callers that know their working set up
         front (:meth:`~repro.core.problem.SOFInstance.metric_block`, the
         online simulator's VM-pool warms) route here so cold batches are
-        discoverable.
+        discoverable.  Uncontracted full rows (patchable or hot-less
+        oracles) are built in batches by the numpy row kernel
+        (:meth:`_full_rows`, :meth:`IndexedGraph.batch_rows`).
         """
         self._build()
         contracted = self._contracted
@@ -2034,11 +2249,14 @@ class FrozenOracle:
                     missing.append(source_id)
             else:
                 row.used = True
-        for source_id in missing:
-            if contracted is not None:
+        if contracted is not None:
+            for source_id in missing:
                 self._contracted_row(source_id)
-            else:
+        elif self._early_stop:
+            for source_id in missing:
                 self._compute(source_id, None)
+        else:
+            self._full_rows(missing)
 
     def extend_hot(self, nodes: Iterable[Node]) -> None:
         """Add nodes to the hot set (affects future row computations).
@@ -2623,26 +2841,80 @@ class FrozenOracle:
     # ------------------------------------------------------------------
     # uncontracted-core machinery
     # ------------------------------------------------------------------
+    @property
+    def _early_stop(self) -> bool:
+        """Whether cold uncontracted rows stop once the hot set settles.
+
+        Only non-patchable oracles with a hot set early-stop; every
+        other oracle builds full rows.
+        """
+        return bool(self._hot_ids) and not self._patchable
+
     def _compute(self, source_id: int, target_id: Optional[int]) -> _Row:
-        """Compute and cache a row, early-stopped at the hot set if any."""
+        """Compute and cache a row, early-stopped at the hot set if any.
+
+        Early-stopped rows run the heap loop until the hot nodes (and
+        ``target_id``) settle; full rows come from the numpy kernel
+        (:meth:`_full_rows`).
+        """
         core = self.core
+        if not self._early_stop:
+            return self._full_rows([source_id])[0]
         mx = self._metrics
         t0 = mx.clock() if mx else 0.0
-        if self._hot_ids and not self._patchable:
-            targets = (
-                self._hot_ids if target_id is None
-                else self._hot_ids + [target_id]
-            )
-            dist, parent, settled, exhausted = core.dijkstra(source_id, targets)
-            row = self._freeze_row(dist, parent, settled, exhausted)
-        else:
-            dist, parent, settled, _ = core.dijkstra(source_id)
-            row = self._freeze_row(dist, parent, settled, True)
+        targets = (
+            self._hot_ids if target_id is None
+            else self._hot_ids + [target_id]
+        )
+        dist, parent, settled, exhausted = core.dijkstra(source_id, targets)
+        row = self._freeze_row(dist, parent, settled, exhausted)
         self._install_row(source_id, row)
         if mx:
             mx.inc("oracle.rows.cold")
             mx.span("oracle.row_build", t0, kind="cold")
         return row
+
+    def _full_rows(self, ids: Sequence[int], kind: str = "cold") -> List[_Row]:
+        """Build, install and return full uncontracted rows for ``ids``.
+
+        The uncontracted full-row path: :meth:`IndexedGraph.batch_rows`
+        on :meth:`IndexedGraph.kernel_chunk` sources per call, and the
+        heap loop (:meth:`IndexedGraph.dijkstra`) for each row the
+        kernel refuses.  Rows are installed in ``ids`` order, so the
+        cache ends exactly as if they were built one at a time.
+
+        Metrics: one ``oracle.row_build`` span per kernel call, labelled
+        ``kind`` with the row count in ``trace_args``; each refused row
+        adds a ``kind=fallback`` span and counts ``oracle.rows.fallback``.
+        Cold rows (not ``kind="upgrade"``) count ``oracle.rows.cold``
+        one per row.
+        """
+        core = self.core
+        mx = self._metrics
+        step = core.kernel_chunk()
+        built: List[_Row] = []
+        for lo in range(0, len(ids), step):
+            chunk = ids[lo:lo + step]
+            t0 = mx.clock() if mx else 0.0
+            batch = core.batch_rows(chunk)
+            if mx:
+                mx.span("oracle.row_build", t0, kind=kind,
+                        trace_args={"rows": len(chunk)})
+            for source_id, labels in zip(chunk, batch):
+                if labels is None:
+                    # A zero-gap tight edge: the kernel cannot prove the
+                    # heap loop's parents, so run the heap loop.
+                    t0 = mx.clock() if mx else 0.0
+                    labels = core.dijkstra(source_id)[:3]
+                    if mx:
+                        mx.inc("oracle.rows.fallback")
+                        mx.span("oracle.row_build", t0, kind="fallback")
+                row = self._freeze_row(*labels, True)
+                self._install_row(source_id, row)
+                built.append(row)
+                if mx and kind == "cold":
+                    mx.inc("oracle.rows.cold")
+        return built
 
     def _row_serving(self, source_id: int, target_id: int) -> _Row:
         """A row from ``source_id`` whose entry for ``target_id`` is final."""
@@ -2659,14 +2931,7 @@ class FrozenOracle:
                 return self._compute(source_id, target_id)
             # Cached but early-stopped short of the target: upgrade in full
             # so repeated cold queries never re-run the search.
-            mx = self._metrics
-            t0 = mx.clock() if mx else 0.0
-            dist, parent, settled, _ = self.core.dijkstra(source_id)
-            row = self._freeze_row(dist, parent, settled, True)
-            self._install_row(source_id, row)
-            if mx:
-                mx.span("oracle.row_build", t0, kind="upgrade")
-            return row
+            return self._full_rows([source_id], kind="upgrade")[0]
         return self._compute(source_id, target_id)
 
     # ------------------------------------------------------------------
@@ -3072,9 +3337,9 @@ class FrozenOracle:
         source_id = core.index[source]
         row = self._rows.get(source_id)
         if row is None or not row.full:
-            dist, parent, settled, _ = core.dijkstra(source_id)
-            row = self._freeze_row(dist, parent, settled, True)
-            self._install_row(source_id, row)
+            row = self._full_rows(
+                [source_id], kind="cold" if row is None else "upgrade"
+            )[0]
         row.used = True
         nodes = core.nodes
         return {
