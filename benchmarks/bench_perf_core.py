@@ -36,6 +36,10 @@ tracks the *repo's own* performance trajectory.  It measures:
   region sharing (``OnlineSimulator(share_regions=False)``) -- the
   acceptance metric for the region-sharing PR, where rediscovering the
   same detached region once per row is the dominant repair cost;
+- ``online_dense_patch_rows_checked`` / ``online_dense_patch_rows_wrong``:
+  after the shared dense-patch trace, every cached row checked against a
+  cold ``IndexedGraph.dijkstra`` on the final costs (distances equal,
+  every parent edge tight); no row may be wrong;
 - ``online_churn_s`` / ``online_churn_invalidate_s``: a tenant-churn
   workload (Poisson arrivals, exponential holding-time departures,
   periodic background ticks -- the :mod:`repro.workload` engine) replayed
@@ -84,7 +88,8 @@ no kernel fallback, so must the churn and failure traces' uncontracted
 rows, the planned
 repair path must stay bit-identical to the per-row reference on the
 many-rows trace, the region-shared repair must stay bit-identical
-to the unshared planned path on the dense-patch trace, and the churn
+to the unshared planned path on the dense-patch trace and leave every
+cached row equal to a cold rebuild with tight parent edges, and the churn
 trace's incremental run must stay bit-identical (costs *and* acceptance
 decisions) to the full-invalidate reference across its decrease batches,
 and the failure trace's topology patches must stay bit-identical (costs,
@@ -260,7 +265,7 @@ def _run_dense_patch_trace(share: bool):
     utilisation), so shortest-path trees are unique and region sharing
     is exercised on stable signatures.  Setup, the standing-load
     assignment and the first (cache-warming) request stay outside the
-    timed window.  Returns ``(costs, elapsed_seconds)``.
+    timed window.  Returns ``(costs, elapsed_seconds, simulator)``.
     """
     network = _dense_patch_network()
     simulator = OnlineSimulator(
@@ -303,7 +308,40 @@ def _run_dense_patch_trace(share: bool):
         f"dense-patch trace requests {rejected} were rejected "
         f"(share={share}); the trace must embed all {_DENSE_REQUESTS}"
     )
-    return costs, elapsed
+    return costs, elapsed, simulator
+
+
+def _repaired_rows_check(oracle):
+    """Every cached row exact and tight against a cold rebuild.
+
+    For each cached row of ``oracle`` (an uncontracted one): its
+    distances must equal a cold :meth:`IndexedGraph.dijkstra` from the
+    same source on the current costs, entry for entry, and every parent
+    edge must be tight (``dist[p] + w == dist[v]`` for some live edge
+    ``p - v``).  Repairs may break equal-cost ties differently from a
+    cold build, so parents are held to tightness, not equality.
+    Returns ``(rows_checked, rows_wrong)``; ``(0, 0)`` on a contracted
+    oracle.
+    """
+    if oracle.contracted is not None:
+        return 0, 0
+    core = oracle.core
+    adjacency = core._rows
+    wrong = 0
+    for sid, row in oracle._rows.items():
+        dist = list(row.dist)
+        want = core.dijkstra(sid)[0]
+        ok = dist == want if row.full else all(
+            dist[v] == want[v] for v, flag in enumerate(row.settled) if flag
+        )
+        for v, p in enumerate(row.parent):
+            if p >= 0 and not any(
+                u == p and dist[p] + w == dist[v] for w, u in adjacency[v]
+            ):
+                ok = False
+                break
+        wrong += not ok
+    return len(oracle._rows), wrong
 
 
 #: Churn trace shape: a mid-size Inet topology (200-VM pool) under ~10
@@ -693,10 +731,11 @@ def run_perf_core() -> dict:
     # region-sharing acceptance metric.
     dense_unshared_s = dense_shared_s = float("inf")
     for _ in range(2):
-        unshared_costs, elapsed = _run_dense_patch_trace(share=False)
+        unshared_costs, elapsed, _ = _run_dense_patch_trace(share=False)
         dense_unshared_s = min(dense_unshared_s, elapsed)
-        shared_costs, elapsed = _run_dense_patch_trace(share=True)
+        shared_costs, elapsed, simulator = _run_dense_patch_trace(share=True)
         dense_shared_s = min(dense_shared_s, elapsed)
+    dense_rows = _repaired_rows_check(simulator._oracle)
 
     # Interleaved best-of-two again for the churn incremental-vs-
     # invalidate ratio, the workload-engine acceptance metric.
@@ -785,6 +824,8 @@ def run_perf_core() -> dict:
         "online_dense_patch_share_drift": max(
             abs(a - b) for a, b in zip(shared_costs, unshared_costs)
         ),
+        "online_dense_patch_rows_checked": dense_rows[0],
+        "online_dense_patch_rows_wrong": dense_rows[1],
         "online_churn_s": round(churn_patch_s, 4),
         "online_churn_invalidate_s": round(churn_invalidate_s, 4),
         "online_churn_cost": churn_patched.total_cost,
@@ -1048,6 +1089,12 @@ def test_perf_core(once):
         and measured["online_kernel_rows_exact"]
         and measured["online_kernel_fallback_rows"] == 0
     )
+    # After the dense-patch trace every cached (repaired) row must equal
+    # a cold rebuild on the final costs, with every parent edge tight.
+    dense_rows_ok = (
+        measured["online_dense_patch_rows_checked"] > 0
+        and measured["online_dense_patch_rows_wrong"] == 0
+    )
     if _strict():
         assert cost_ok, "largest-cell forest cost drifted from the baseline"
         assert kernel_ok, (
@@ -1074,6 +1121,10 @@ def test_perf_core(once):
         assert dense_baseline_ok, (
             "dense-patch trace cost drifted from the baseline"
         )
+        assert dense_rows_ok, (
+            "after the dense-patch trace a cached row differs from a cold "
+            "IndexedGraph.dijkstra or has a non-tight parent edge"
+        )
         assert churn_ok, (
             "churn trace (decrease batches) diverged from the "
             "full-invalidate reference"
@@ -1099,6 +1150,8 @@ def test_perf_core(once):
     shape_check("forest cost unchanged on the seeded largest cell", cost_ok)
     shape_check("largest cell: every cached contracted row equals the "
                 "heap-loop reference, 0 fallback rows", kernel_ok)
+    shape_check("dense-patch trace: every cached row equals a cold "
+                "rebuild, every parent edge tight", dense_rows_ok)
     shape_check("churn / failure traces: every cached and rebuilt "
                 "uncontracted row equals the heap-loop reference, "
                 "0 fallback rows", online_kernel_ok)

@@ -73,8 +73,12 @@ behind one :class:`_SharedRegion`, whose node list, membership mask,
 boundary seed lists and region-internal adjacency are computed once per
 group and reused by every member row's re-dijkstra (see
 :data:`PLANNER_SHARE_MIN_ROWS` / :data:`PLANNER_SHARE_DENSITY` for the
-engagement policy).  ``share_regions=False`` keeps the per-row region
-rediscovery, bit-identically, as the equivalence reference.
+engagement policy).  Cached rows live as slots of 2-D arena blocks
+(:mod:`repro.graph.rowcache`), so a region with a single boundary node
+is repaired for all its rows at once: one seed scan, one drift test and
+one column operation per tree edge over each block.
+``share_regions=False`` keeps the per-row region rediscovery,
+bit-identically, as the equivalence reference.
 
 Edge-*topology* patches (:meth:`FrozenOracle.patch_topology`) extend the
 same repair engine to link failure and recovery.  A removed edge is a
@@ -99,7 +103,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections import Counter
 from operator import itemgetter
 from typing import (
@@ -110,7 +113,7 @@ from typing import (
 import numpy as np
 
 from repro.graph.graph import Graph, canonical_edge
-from repro.graph.rowcache import RowCache
+from repro.graph.rowcache import RowBlock, RowCache
 from repro.graph.shortest_paths import dijkstra as _dict_dijkstra
 from repro.obs import CACHE_SNAPSHOT_SCHEMA
 
@@ -162,16 +165,17 @@ PLANNER_SHARE_DENSITY = 0.5
 _PLANNER_SHARE_MAX_VARIANTS = 4
 
 
-def _f8(buf: array):
+def _f8(buf):
     """Zero-copy ``float64`` view of a row's ``dist`` buffer.
 
-    Writes through the view mutate the buffer in place; row buffers are
-    never resized, so a view stays valid for the row's lifetime.
+    Writes through the view mutate the row in place.  A row's labels
+    never move while it is cached (they sit in one arena slot), so a
+    view stays valid for the row's lifetime.
     """
     return np.frombuffer(buf, dtype=np.float64)
 
 
-def _i8(buf: array):
+def _i8(buf):
     """Zero-copy ``int64`` view of a row's ``parent`` buffer."""
     return np.frombuffer(buf, dtype=np.int64)
 
@@ -1097,8 +1101,8 @@ def _repair_row(
     distances are exact again.
 
     Increases follow Ramalingam--Reps: only descendants of a detached tree
-    edge can change, so exactly that region -- found by walking the row's
-    lazily-built (and then maintained) children lists -- is recomputed
+    edge can change, so exactly that region -- found by walking children
+    lists built from the row's parents for this call -- is recomputed
     from its boundary of intact nodes.  On early-stopped rows, a repaired
     node whose new distance exceeds the original settle cutoff is demoted
     to unsettled (its true distance could route through never-settled
@@ -1128,8 +1132,6 @@ def _repair_row(
                     dist[a] = dist[b] + w
                     parent[a] = b
                     push(heap, (dist[a], a))
-            if heap:
-                row.children = None  # parents moved: rebuild lazily
             while heap:
                 d, v = pop(heap)
                 if d > dist[v]:
@@ -1163,13 +1165,10 @@ def _repair_row(
                 row.cutoff = max(
                     (dist[v] for v in range(n) if settled[v]), default=0.0
                 )
-            children = row.children
-            if children is None:
-                children = [[] for _ in range(n)]
-                for v, p in enumerate(parent):
-                    if p >= 0:
-                        children[p].append(v)
-                row.children = children
+            children: List[List[int]] = [[] for _ in range(n)]
+            for v, p in enumerate(parent):
+                if p >= 0:
+                    children[p].append(v)
             # Every child of an affected node is affected (an intact node's
             # root path avoids detached edges, so its parent is intact
             # too), so the affected region is the forest below the roots.
@@ -1190,7 +1189,6 @@ def _repair_row(
             for v in affected:
                 dist[v] = INF
                 parent[v] = -1
-                children[v].clear()
             heap = []
             push = heapq.heappush
             pop = heapq.heappop
@@ -1218,10 +1216,6 @@ def _repair_row(
                             dist[u] = nd
                             parent[u] = v
                             push(heap, (nd, u))
-            for v in affected:
-                p = parent[v]
-                if p >= 0:
-                    children[p].append(v)
             if not full:
                 cutoff = row.cutoff
                 for v in affected:
@@ -1294,34 +1288,80 @@ class _PatchPlan:
         return self._classified
 
 
-def _route_tree_edge(
-    row: "_Row",
-    sid: int,
-    a: int,
-    b: int,
-    leaf: int,
-    general_roots: Dict[int, List[int]],
-    leaf_jobs: Dict[int, List[Tuple[int, int]]],
-) -> None:
-    """Route one changed pair of ``row`` to its repair job, if a tree edge.
+class _LiveRows:
+    """The live rows of one planned patch, addressed by arena slot.
 
-    The classification step of :meth:`FrozenOracle._patch_rows`'s scan
-    pass: verify the pair against ``row.parent``, then queue the
-    detached child either as a ``(leaf, anchor)`` fast job (increased
-    degree-1 edge of a full row) or as a general region root.  A pair
-    that is not a tree edge of the row queues nothing.
+    ``rows`` lists the rows in store order; ``block``/``slot`` hold each
+    row's arena block index and slot, so a whole-block numpy operation
+    reads or writes one column for many rows at once (see
+    :mod:`repro.graph.rowcache`).  Rows are named by their position in
+    ``rows`` (a *live index*).
     """
-    parent = row.parent
-    if parent[b] == a:
-        child = b
-    elif parent[a] == b:
-        child = a
-    else:
-        return
-    if child == leaf and row.full:
-        leaf_jobs.setdefault(sid, []).append((child, a if child == b else b))
-    else:
-        general_roots.setdefault(sid, []).append(child)
+
+    __slots__ = ("rows", "block", "slot", "full", "_blocks")
+
+    def __init__(self, rows: List["_Row"]) -> None:
+        self.rows = rows
+        self.block = np.fromiter(
+            (row.block.index for row in rows), np.intp, len(rows)
+        )
+        self.slot = np.fromiter((row.slot for row in rows), np.intp, len(rows))
+        self.full = np.fromiter((row.full for row in rows), bool, len(rows))
+        self._blocks = {row.block.index: row.block for row in rows}
+
+    def parts(self, idx: np.ndarray) -> List[Tuple[RowBlock, np.ndarray, np.ndarray]]:
+        """Split live indices ``idx`` by block.
+
+        Returns ``(block, pos, slots)`` per block: ``pos`` are positions
+        into ``idx`` and ``slots`` those rows' slots in ``block``.
+        """
+        if len(self._blocks) == 1:
+            (block,) = self._blocks.values()
+            return [(block, np.arange(len(idx)), self.slot[idx])]
+        of = self.block[idx]
+        out = []
+        for index in np.unique(of):
+            pos = np.flatnonzero(of == index)
+            out.append((self._blocks[int(index)], pos, self.slot[idx[pos]]))
+        return out
+
+    def route(self, classified: List[Tuple[int, int, int]], n: int):
+        """The planner's scan pass: which changed pairs are tree edges where.
+
+        A classified pair ``(a, b, leaf)`` is a tree edge of a row when
+        ``parent[b] == a`` (child ``b``) or ``parent[a] == b`` (child
+        ``a``), tested as one column comparison per pair per block.
+        Returns ``((row, child), (row, leaf, anchor))``: the detached
+        child of every general pair, each at most once per row, and a
+        ``(leaf, anchor)`` job for every increased degree-1 edge of a
+        full row.  Rows are live indices; both are sorted by row, and in
+        classification order within a row.
+        """
+        k = len(classified)
+        a = np.fromiter((pair[0] for pair in classified), np.intp, k)
+        b = np.fromiter((pair[1] for pair in classified), np.intp, k)
+        leaf = np.fromiter((pair[2] for pair in classified), np.intp, k)
+        down = np.empty((len(self.rows), k), dtype=bool)
+        up = np.empty((len(self.rows), k), dtype=bool)
+        for block, pos, slots in self.parts(np.arange(len(self.rows))):
+            at = slots[:, None]
+            down[pos] = block.parent[at, b] == a
+            up[pos] = block.parent[at, a] == b
+        r, k = np.nonzero(down | up)
+        is_down = down[r, k]
+        child = np.where(is_down, b[k], a[k])
+        anchor = np.where(is_down, a[k], b[k])
+        is_leaf = (child == leaf[k]) & self.full[r]
+        general = ~is_leaf
+        root_row, root_child = r[general], child[general]
+        key = root_row * n + root_child
+        first = np.unique(key, return_index=True)[1]
+        if first.size < key.size:
+            # A pair listed twice detaches the same child twice.
+            first.sort()
+            root_row, root_child = root_row[first], root_child[first]
+        return ((root_row, root_child),
+                (r[is_leaf], child[is_leaf], anchor[is_leaf]))
 
 
 def _repair_row_planned(
@@ -1339,10 +1379,10 @@ def _repair_row_planned(
     :func:`_repair_row`; the mechanics differ in two profiled ways:
 
     - The affected region is discovered by scanning ``adjacency`` for
-      ``parent[u] == v`` children instead of building and maintaining
-      per-row children lists (the lazily-built lists are ~40% of legacy
-      repair time on the online trace, and the planner skips rows a patch
-      cannot touch, so the lists would be built for nothing).
+      ``parent[u] == v`` children instead of building children lists
+      for the whole row (the lists are ~40% of legacy repair time on the
+      online trace, and the planner skips rows a patch cannot touch, so
+      the lists would be built for nothing).
     - Leaf jobs whose anchor is outside every detached region bypass the
       region machinery entirely: the leaf's one edge is relaxed in place
       (``dist[leaf] = dist[anchor] + w``), its parent unchanged.  A leaf
@@ -1353,10 +1393,6 @@ def _repair_row_planned(
     parent = row.parent
     settled = row.settled
     full = row.full
-    # Planned repairs never maintain the legacy children lists; drop any
-    # lists a previous mixed (decrease-carrying) patch built so the legacy
-    # path cannot later reuse a tree this repair is about to move.
-    row.children = None
     n = len(dist)
     if not full and row.cutoff is None:
         row.cutoff = max(
@@ -1377,10 +1413,6 @@ def _repair_row_planned(
                 if parent[u] == v and not affect[u]:
                     affect[u] = 1
                     stack.append(u)
-    fast: List[Tuple[int, int]] = []
-    for leaf, anchor in leafs:
-        if not affect[leaf]:
-            fast.append((leaf, anchor))
     if affected:
         for v in affected:
             dist[v] = INF
@@ -1437,11 +1469,30 @@ def _repair_row_planned(
                 # never-settled territory costs at least the cutoff) and
                 # stays settled.  Must match :func:`_repair_row` exactly.
                 settled[v] = 1 if dist[v] <= cutoff else 0
-    for leaf, anchor in fast:
+    _relax_leafs(adjacency, row, leafs, affect)
+
+
+def _relax_leafs(
+    adjacency: List[Tuple[Tuple[float, int], ...]],
+    row: "_Row",
+    leafs: Iterable[Tuple[int, int]],
+    affect,
+) -> None:
+    """Repair a row's ``(leaf, anchor)`` jobs by one relaxation each.
+
+    Runs after the row's regions are repaired.  A leaf inside a repaired
+    region (``affect[leaf]``) was swept into it and is skipped; any other
+    leaf gets ``dist[anchor] + w`` over its single edge, parent
+    unchanged.  An unreachable anchor leaves the leaf detached
+    (INF/-1), as the region seeding would: it finds no boundary parent.
+    """
+    dist = row.dist
+    parent = row.parent
+    for leaf, anchor in leafs:
+        if affect[leaf]:
+            continue
         d = dist[anchor]
         if d == INF:
-            # The anchor itself is unreachable; mirror the legacy seeding,
-            # which finds no boundary parent and leaves the leaf detached.
             dist[leaf] = INF
             parent[leaf] = -1
         else:
@@ -1453,9 +1504,10 @@ class _SharedRegion:
 
     Scoped to a single patch (the stored boundary/internal weights are
     only valid until the next weight change).  Built from the first
-    member row's child walk; every later row *verifies* membership in
-    O(region + boundary) -- strictly less than rediscovering the region
-    from the adjacency -- and then reuses:
+    member row's child walk; the other member rows *verify* membership in
+    O(region + boundary) each -- strictly less than rediscovering the
+    region from the adjacency, and one whole-block pass for all of them
+    (:meth:`match_rows`) -- and then reuse:
 
     - ``member``: node-membership bytearray, served read-only as the
       row's ``affect`` set when the row repairs nothing else;
@@ -1522,32 +1574,31 @@ class _SharedRegion:
         self._arrays = None
         self._solo = None
 
-    def matches(self, parent: array) -> bool:
-        """Whether ``parent``'s subtree below ``root`` is exactly this region.
+    def match_rows(self, parent: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Which rows ``slots`` of a block have exactly this region below ``root``.
 
-        Whole-array ops over the row's ``parent`` buffer.  A ``-1`` parent
-        wraps to the last member byte under numpy fancy indexing, but its
-        ``>= 0`` conjunct is already False, so the wrapped read can never
-        flip the outcome.
+        ``parent`` is an arena block's ``(rows, n)`` parent array; the
+        result holds one verdict per slot.  A ``-1`` parent wraps to the
+        last member byte under numpy fancy indexing, but its ``>= 0``
+        conjunct is already False, so the wrapped read can never flip
+        the outcome.
         """
-        p = parent[self.root]
-        if p >= 0 and self.member[p]:
-            return False
         tail_np, member_view, seed_u, seed_v_rep = self.arrays()[:4]
-        pview = _i8(parent)
-        tp = pview[tail_np]
-        if not ((tp >= 0) & (member_view[tp] == 1)).all():
-            return False
-        if seed_u.size and (pview[seed_u] == seed_v_rep).any():
-            return False
-        return True
+        p = parent[slots, self.root]
+        ok = (p < 0) | (member_view[p] == 0)
+        if tail_np.size:
+            tp = parent[slots[:, None], tail_np]
+            ok &= ((tp >= 0) & (member_view[tp] == 1)).all(axis=1)
+        if seed_u.size:
+            ok &= ~(parent[slots[:, None], seed_u] == seed_v_rep).any(axis=1)
+        return ok
 
     def arrays(self):
         """Numpy companions of the region structures (lazy, per patch).
 
         ``(tail_np, member_view, seed_u, seed_v_rep, nodes_np, seed_v,
         seed_w, seed_starts, seed_lens)`` -- the membership/boundary data
-        re-expressed as flat arrays so :meth:`matches` and the
+        re-expressed as flat arrays so :meth:`match_rows` and the
         re-dijkstra's reset/seed/settle scans run as whole-array ops.
         """
         arrays = self._arrays
@@ -1588,10 +1639,14 @@ class _SharedRegion:
         node ``v0``): a Dijkstra over :attr:`inner` from ``dist[v0] = 0``
         whose acceptance order, final tree and *separation margin* let
         :meth:`apply_offset` replay the identical float additions per
-        member row from the row's own seed distance.  Returns ``(order,
-        margin, maxd, depth)`` where ``order`` lists ``(node, parent,
-        edge_weight)`` in a topological order of the final tree, or
-        ``None`` when the region is not offset-eligible (several
+        member row from the row's own seed distance.  Returns ``(margin,
+        maxd, depth, j0, steps, template)``: the separation margin, the
+        largest label and the tree depth the drift bound reads, then the
+        replay over the region's columns (``nodes`` order) -- ``j0`` is
+        the boundary node's column, ``steps`` lists ``(child column,
+        parent column, edge weight)`` in a topological order of the
+        final tree, and ``template`` holds every node's final parent.
+        Returns ``None`` when the region is not offset-eligible (several
         boundary nodes, or an exact tie makes the margin zero).
 
         The margin is the smallest nonzero gap between any two candidate
@@ -1665,53 +1720,82 @@ class _SharedRegion:
                     return None
             maxd = max(dist.values())
             max_depth = max(depth.values())
-            solo = self._solo = (order, margin, maxd, max_depth)
+            # The replay over the region's columns (``nodes`` order):
+            # per step ``(child column, parent column, weight)``, and the
+            # parent every replayed row ends with (``-1`` for a node the
+            # solve never reached, which stays at the reset).
+            column = {v: j for j, v in enumerate(self.nodes)}
+            steps = [(column[u], column[p], w) for u, p, w in order]
+            template = np.full(len(self.nodes), -1, dtype=np.int64)
+            for u, p, _ in order:
+                template[column[u]] = p
+            solo = self._solo = (margin, maxd, max_depth, column[v0],
+                                 steps, template)
         return None if solo[0] is None else solo
 
-    def apply_offset(self, dist, parent, settled, full) -> bool:
-        """Repair one row's copy of this region by per-row offsets.
+    def offset_seeds(self, dist: np.ndarray, slots: np.ndarray, settled=None):
+        """Seed the lone boundary node for rows ``slots`` of one block.
 
-        The row-side half of the single-boundary shared solve: scan the
-        lone boundary node's seed candidates exactly as the heap path
-        would (first strict minimum over intact, settled-or-full
-        neighbors), then -- if the solo margin survives the drift bound
-        at this base -- replay the solo tree's additions ``dist[child] =
-        dist[parent] + w`` in topological order, which is literally the
-        same float expression sequence the per-row re-dijkstra evaluates.
-        Returns ``False`` when the caller must fall back to heap seeding
-        for this region (margin too small for this row's base, or no
-        cached solo); the region's labels are untouched in that case
-        (still at the caller's INF/-1 reset).
+        The row-side half of the single-boundary shared solve, over
+        several rows at once: scan the boundary node's seed candidates
+        as the heap path would (first strict minimum of ``dist[u] + w``,
+        over settled neighbours only when ``settled`` -- one row's
+        settle flags -- is given), then test the drift bound at each
+        row's base.  ``dist`` is an arena block's distance array.
+        Returns ``(best, src, ok)`` per slot: the seed distance and its
+        boundary parent, and whether :meth:`apply_offset` may repair the
+        row.  A row with no finite seed is ``ok``: the heap path would
+        push nothing, so its region stays at the INF/-1 reset.  A row
+        whose margin does not clear the drift bound is not: the caller
+        repairs this region with the heap path instead.  Only call when
+        :meth:`solo_solve` is not ``None``.
         """
-        solo = self.solo_solve()
-        if solo is None:
-            return False
-        order, margin, maxd, depth = solo
-        v0, seed = self.seed_items[0]
-        best = INF
-        best_parent = -1
-        for w, u in seed:
-            if full or settled[u]:
-                nd = dist[u] + w
-                if nd < best:
-                    best = nd
-                    best_parent = u
-        if best_parent < 0:
-            # No intact boundary neighbor: the heap path would push
-            # nothing and the whole region stays at the INF/-1 reset.
-            return True
+        margin, maxd, depth = self.solo_solve()[:3]
+        arrays = self.arrays()
+        seed_u, seed_w = arrays[2], arrays[6]
+        vals = dist[slots[:, None], seed_u] + seed_w
+        if settled is not None:
+            vals = np.where(settled[seed_u] != 0, vals, INF)
+        pick = vals.argmin(axis=1)
+        best = vals[np.arange(len(slots)), pick]
         drift = (
             (best + maxd) * _EPS * (_OFFSET_ULPS_PER_LEVEL * (depth + 1)
                                     + _OFFSET_ULPS_BASE)
         )
-        if margin <= drift:
-            return False
-        dist[v0] = best
-        parent[v0] = best_parent
-        for u, p, w in order:
-            dist[u] = dist[p] + w
-            parent[u] = p
-        return True
+        return best, seed_u[pick], (best == INF) | (margin > drift)
+
+    def apply_offset(
+        self, dist: np.ndarray, parent: np.ndarray, slots: np.ndarray,
+        best: np.ndarray, src: np.ndarray,
+    ) -> int:
+        """Write this region into rows ``slots`` of one block by offsets.
+
+        Every region node starts at the INF/-1 reset.  A row with a
+        finite seed ``best`` (from :meth:`offset_seeds`) then gets
+        ``dist[v0] = best`` with parent ``src``, and the solo tree's
+        additions ``dist[child] = dist[parent] + w`` replayed in
+        topological order: literally the float expression sequence the
+        per-row re-dijkstra evaluates, so rows stay bit-identical.  One
+        numpy column operation per tree edge serves every row.  Returns
+        how many rows were replayed from a finite seed.
+        """
+        j0, steps, template = self.solo_solve()[3:]
+        columns = self.arrays()[4]
+        # Region-major work array, so each replay step is a contiguous row.
+        sub_d = np.full((len(columns), len(slots)), INF)
+        sub_p = np.full((len(slots), len(columns)), -1, dtype=np.int64)
+        live = best < INF
+        replayed = int(np.count_nonzero(live))
+        if replayed:
+            sub_d[j0] = best
+            for ju, jp, w in steps:
+                sub_d[ju] = sub_d[jp] + w
+            sub_p[live] = template
+            sub_p[live, j0] = src[live]
+        at = slots[:, None]
+        dist[at, columns] = sub_d.T
+        parent[at, columns] = sub_p
+        return replayed
 
     @property
     def mask(self) -> int:
@@ -1769,6 +1853,24 @@ def _combine_regions(
     return member, inner
 
 
+def _region_clashes(regions: List[_SharedRegion]) -> np.ndarray:
+    """Which pairs of shared regions are *not* islands of each other.
+
+    ``clash[i, j]`` is 1 when regions ``i`` and ``j`` overlap or are
+    adjacent (either one's :attr:`~_SharedRegion.reach_mask` meets the
+    other's :attr:`~_SharedRegion.mask`), else 0.  A set of regions
+    merges in :func:`_combine_regions` exactly when no pair of it
+    clashes.
+    """
+    clash = np.zeros((len(regions), len(regions)), dtype=np.intp)
+    for i, one in enumerate(regions):
+        for j in range(i):
+            other = regions[j]
+            if one.reach_mask & other.mask or other.reach_mask & one.mask:
+                clash[i, j] = clash[j, i] = 1
+    return clash
+
+
 def _repair_row_shared(
     adjacency: List[Tuple[Tuple[float, int], ...]],
     row: "_Row",
@@ -1802,12 +1904,19 @@ def _repair_row_shared(
     scans run as whole-array numpy ops over the row's label buffers
     (same values: the scans are pure gathers/constant stores and the
     seed scan keeps the first-strict-minimum selection rule).
+
+    This is the per-row path of a shared-region repair.  Rows whose
+    every region takes the offset solve are usually repaired by their
+    group in :meth:`FrozenOracle._patch_rows` instead; this function
+    handles the rows that group pass leaves: early-stopped rows, rows
+    with walked roots or non-island hits, and rows the drift guard
+    refused.  Its offset solve is the same pair of slot-based methods
+    the group pass runs, on the row's one slot.
     """
     dist = row.dist
     parent = row.parent
     settled = row.settled
     full = row.full
-    row.children = None
     n = len(dist)
     if not full and row.cutoff is None:
         row.cutoff = max(
@@ -1871,18 +1980,23 @@ def _repair_row_shared(
         # relaxations never cross regions, so removing one region's
         # entries cannot change any other's repair.
         heap_hits = []
+        sview = None if full else _u8(settled)
+        block = row.block
+        at = np.array([row.slot])
         for region in hits:
-            if len(region.seed_items) == 1 and region.apply_offset(
-                dist, parent, settled, full
-            ):
-                continue
+            if region.solo_solve() is not None:
+                best, src, ok = region.offset_seeds(block.dist, at, sview)
+                if ok[0]:
+                    region.apply_offset(
+                        block.dist, block.parent, at, best, src
+                    )
+                    continue
             heap_hits.append(region)
         # Whole-array boundary seeding.  ``inner is not None`` guarantees
         # every seed target lies outside all regions (``not affect[u]``
         # is vacuously true), so the scan reduces to a masked gather plus
         # a first-strict-minimum per boundary segment -- exactly the
         # selection the per-node loop of the ``else`` branch makes.
-        sview = None if full else _u8(settled)
         for region in heap_hits:
             arrays = region.arrays()
             seed_u, seed_v, seed_w, starts, lens = (
@@ -1970,21 +2084,20 @@ def _repair_row_shared(
         for v in walked:
             settled[v] = 1 if dist[v] <= cutoff else 0
 
-    for leaf, anchor in leafs:
-        if affect[leaf]:
-            continue  # swept into a region; repaired there
-        d = dist[anchor]
-        if d == INF:
-            dist[leaf] = INF
-            parent[leaf] = -1
-        else:
-            dist[leaf] = d + adjacency[leaf][0][0]
-
+    _relax_leafs(adjacency, row, leafs, affect)
     return not heap_hits
 
 
 class _Row:
     """One cached single-source result inside :class:`FrozenOracle`.
+
+    The labels live in slot ``slot`` of arena block ``block`` (see
+    :mod:`repro.graph.rowcache`); ``dist``/``parent`` are ``memoryview``
+    rows of that slot, so scalar reads return plain Python floats/ints
+    and :func:`_f8`/:func:`_i8` wrap the same memory zero-copy.  When
+    the row store drops the row it frees the slot and sets ``block``,
+    ``dist`` and ``parent`` to ``None``: a dropped row cannot read labels
+    another row's install may have written since.
 
     ``stale`` marks a row that survived (was repaired by) an edge-cost
     patch.  Its distances are exact and its parent tree is a valid
@@ -1996,27 +2109,26 @@ class _Row:
     like a cold miss instead of being upgraded to a full row.
     """
 
-    __slots__ = ("dist", "parent", "settled", "full", "stale", "cutoff",
-                 "children", "used")
+    __slots__ = ("dist", "parent", "block", "slot", "settled", "full",
+                 "stale", "cutoff", "used")
 
     def __init__(
         self,
-        dist: List[float],
-        parent: List[int],
+        block: RowBlock,
+        slot: int,
         settled: Optional[bytearray],
         full: bool,
     ) -> None:
-        self.dist = dist
-        self.parent = parent
+        self.block = block
+        self.slot = slot
+        self.dist = memoryview(block.dist[slot])
+        self.parent = memoryview(block.parent[slot])
         self.settled = settled
         self.full = full
         self.stale = False
         #: Original settle frontier (early-stopped rows), filled lazily by
         #: the first repair.
         self.cutoff = None
-        #: Per-node child lists of the parent tree, built lazily by the
-        #: first repair and maintained across repairs.
-        self.children = None
         #: Served since the last patch?  Rows idle across a whole patch
         #: interval are dropped rather than repaired -- dead rows (e.g. a
         #: past request's terminals) would otherwise be repaired forever.
@@ -2157,23 +2269,21 @@ class FrozenOracle:
         """Fold the cache counters into the registry as gauges."""
         self._rows.publish(mx, prefix=f"{scope}.cache")
 
-    @staticmethod
-    def _freeze_row(dist, parent, settled, full) -> _Row:
-        """Wrap freshly-computed labels in a row of label buffers.
+    def _freeze_row(self, dist, parent, settled, full) -> _Row:
+        """Copy freshly-computed labels into a new arena slot.
 
-        The single chokepoint between the Dijkstra cores (which produce
-        plain lists) and the cache: labels are copied into
-        ``array('d')``/``array('q')`` buffers, so every cached row is
-        uniformly typed.  Scalar reads still return plain Python
-        floats/ints, while the repair and batch-query layers wrap the
-        same memory zero-copy as numpy views (:func:`_f8`, :func:`_i8`).
-        The contracted row kernel hands over ``float64``/``int64`` numpy
-        arrays instead, which are copied by their raw bytes.
+        The single chokepoint between the Dijkstra cores and the cache:
+        the heap loops hand over plain lists, the numpy row kernels and
+        :meth:`rebased` hand over ``float64``/``int64`` arrays, and both
+        are copied value for value into a slot the row store allocates
+        (see :class:`_Row`).  The row is not installed yet; the caller
+        installs it through the row store, which owns the slot from then
+        on.
         """
-        if isinstance(dist, np.ndarray):
-            return _Row(array("d", dist.tobytes()),
-                        array("q", parent.tobytes()), settled, full)
-        return _Row(array("d", dist), array("q", parent), settled, full)
+        block, slot = self._rows.alloc(len(dist))
+        block.dist[slot] = dist
+        block.parent[slot] = parent
+        return _Row(block, slot, settled, full)
 
     def _build(self) -> None:
         if self._built:
@@ -2555,7 +2665,8 @@ class FrozenOracle:
         once into a shared :class:`_PatchPlan` and only rows that
         actually use a changed edge as a tree edge are repaired.  One
         scan pass finds them: every classified pair is checked against
-        each live row's parent tree, O(rows x changes).  Batches
+        each live row's parent tree as one column comparison per arena
+        block (:meth:`_LiveRows.route`), O(rows x changes).  Batches
         carrying a decrease fall back to the per-row reference repair: a
         decrease moves parents mid-repair, so root classification stops
         being row-independent.  ``planner=False`` always takes the
@@ -2563,15 +2674,22 @@ class FrozenOracle:
 
         With ``share_regions=True`` (the default), detached roots dense
         enough to clear :data:`PLANNER_SHARE_MIN_ROWS` /
-        :data:`PLANNER_SHARE_DENSITY` get per-patch shared-region groups:
-        member rows verify against (instead of rediscovering) the
-        detached region and repair through
-        :func:`_repair_row_shared`, bit-identically to the per-row
-        planned path.  Each repaired row is counted under
-        ``oracle.repair.rows{path}``: ``offset`` when the single-boundary
-        offset solve repaired every region it hit, ``shared`` for any
-        other shared-region repair, ``planned`` or ``reference``
-        otherwise.
+        :data:`PLANNER_SHARE_DENSITY` get per-patch shared-region groups
+        (:meth:`_resolve_shared`): member rows verify against (instead
+        of rediscovering) the detached region, bit-identically to the
+        per-row planned path.  A full row whose roots are all shared
+        single-boundary regions, pairwise islands, is repaired with its
+        group: each region's seed scan, drift guard and offset replay
+        run once over all its rows as whole-block numpy operations
+        (:meth:`_SharedRegion.offset_seeds`,
+        :meth:`_SharedRegion.apply_offset`).  A row the drift guard
+        refuses for any of its regions, and every other row with a job,
+        repairs row by row through :func:`_repair_row_shared` or
+        :func:`_repair_row_planned`.  Repaired rows are counted under
+        ``oracle.repair.rows{path}``, once per path with the row count:
+        ``offset`` when the single-boundary offset solve repaired every
+        region a row hit, ``shared`` for any other shared-region repair,
+        ``planned`` or ``reference`` otherwise.
         """
         if plan is None:
             plan = _PatchPlan(adjacency, changes)
@@ -2603,73 +2721,107 @@ class FrozenOracle:
 
         # Planned pure-increase patch: classify once, then repair only the
         # rows whose parent tree uses a changed pair.
-        general_roots: Dict[int, List[int]] = {}
-        leaf_jobs: Dict[int, List[Tuple[int, int]]] = {}
-        classified = plan.classified
-        for sid, row in rows.items():
-            if not row.used:
-                continue
-            for a, b, leaf in classified:
-                _route_tree_edge(
-                    row, sid, a, b, leaf, general_roots, leaf_jobs
-                )
+        rows_live: List[_Row] = []
+        for sid, row in list(rows.items()):
+            if row.used:
+                rows_live.append(row)
+            else:
+                rows.evict(sid, "idle")
+        live = _LiveRows(rows_live)
+        count = len(rows_live)
+        root_row = root_child = leaf_row = leaf_node = leaf_anchor = \
+            np.empty(0, dtype=np.intp)
+        if count and plan.classified:
+            (root_row, root_child), (leaf_row, leaf_node, leaf_anchor) = \
+                live.route(plan.classified, len(adjacency))
+        # Each row's jobs, as ranges of the row-sorted job arrays.
+        rank = np.arange(count + 1)
+        root_at = np.searchsorted(root_row, rank)
+        leaf_at = np.searchsorted(leaf_row, rank)
+        has_leaf = np.diff(leaf_at) > 0
+        has_job = (np.diff(root_at) > 0) | has_leaf
+        root_at = root_at.tolist()
+        leaf_at = leaf_at.tolist()
+
+        def leafs_of(i: int) -> List[Tuple[int, int]]:
+            lo, hi = leaf_at[i], leaf_at[i + 1]
+            return list(zip(leaf_node[lo:hi].tolist(),
+                            leaf_anchor[lo:hi].tolist()))
 
         # Dense-patch region sharing: a root detaching the same region in
         # many rows gets a per-patch group whose structures every member
         # row reuses.  Groups are scoped to this patch -- their cached
         # boundary/internal weights go stale at the next weight change.
-        share_groups: Optional[Dict[int, List[_SharedRegion]]] = None
-        union_cache: Optional[Dict] = None
-        if self._share_regions and general_roots:
-            live_rows = sum(1 for row in rows.values() if row.used)
-            counts: Dict[int, int] = {}
-            for roots in general_roots.values():
-                # dict.fromkeys dedups a row's roots in first-appearance
-                # order (set order would be hash-bucket order).
-                for c in dict.fromkeys(roots):
-                    counts[c] = counts.get(c, 0) + 1
-            threshold = max(
-                PLANNER_SHARE_MIN_ROWS, PLANNER_SHARE_DENSITY * live_rows
+        variant = np.full(root_row.size, -1, dtype=np.intp)
+        regions: List[_SharedRegion] = []
+        if self._share_regions and root_row.size:
+            regions = self._resolve_shared(
+                adjacency, live, root_row, root_child, variant
             )
-            dense = [c for c, k in counts.items() if k >= threshold]
-            if dense:
-                share_groups = {c: [] for c in dense}
-                union_cache = {}
-                if mx:
-                    # Region-share group sizes: rows per dense root.
-                    for c in dense:
-                        mx.observe("oracle.repair.share_group_rows", counts[c])
 
-        live = 0
-        repaired = 0
-        for sid, row in list(rows.items()):
-            if not row.used:
-                rows.evict(sid, "idle")
-                continue
-            live += 1
-            roots = general_roots.get(sid)
-            leafs = leaf_jobs.get(sid)
-            if roots or leafs:
-                repaired += 1
-                hits = []
-                walk_roots = []
-                if share_groups is not None and roots:
-                    hits, walk_roots = self._resolve_shared(
-                        adjacency, row, roots, share_groups
-                    )
-                if hits:
-                    offset = _repair_row_shared(
-                        adjacency, row, hits, walk_roots, leafs or (),
-                        union_cache,
-                    )
-                    path = "offset" if offset else "shared"
-                else:
-                    _repair_row_planned(
-                        adjacency, row, roots or (), leafs or ()
-                    )
-                    path = "planned"
-                if mx:
-                    mx.inc("oracle.repair.rows", path=path)
+        # Rows whose every root is a shared single-boundary region, the
+        # regions pairwise islands, repair by offsets: one whole-block
+        # pass per region over all its rows.  Every other row with a job
+        # repairs row by row.
+        grouped = np.zeros(count, dtype=bool)
+        hits = np.zeros((count, len(regions)), dtype=bool)
+        if regions:
+            claimed = variant >= 0
+            hits[root_row[claimed], variant[claimed]] = True
+            walks = np.bincount(root_row[~claimed], minlength=count) > 0
+            solo = np.array([r.solo_solve() is not None for r in regions])
+            grouped = hits.any(axis=1) & ~walks & live.full
+            grouped &= ~(hits & ~solo).any(axis=1)
+            clash = _region_clashes(regions)
+            if clash.any():
+                grouped &= ~((hits @ clash) & hits).any(axis=1)
+        refused = np.zeros(count, dtype=bool)
+        seeded = []
+        for g, region in enumerate(regions):
+            idx = np.flatnonzero(hits[:, g] & grouped)
+            for block, pos, slots in live.parts(idx) if idx.size else ():
+                best, src, ok = region.offset_seeds(block.dist, slots)
+                refused[idx[pos[~ok]]] = True
+                seeded.append((region, block, idx[pos], slots, best, src))
+        for region, block, idx, slots, best, src in seeded:
+            keep = ~refused[idx]
+            if not keep.all():
+                slots, best, src = slots[keep], best[keep], src[keep]
+            region.apply_offset(block.dist, block.parent, slots, best, src)
+        grouped &= ~refused  # a refused row repairs row by row instead
+
+        # Grouped rows finish with their leaf jobs; a leaf inside one of
+        # the row's regions was repaired there.
+        unions: Dict[Tuple[int, ...], np.ndarray] = {}
+        for i in np.flatnonzero(grouped & has_leaf).tolist():
+            key = tuple(np.flatnonzero(hits[i]).tolist())
+            affect = unions.get(key)
+            if affect is None:
+                affect = unions[key] = np.logical_or.reduce(
+                    [_u8(regions[g].member) for g in key]
+                )
+            _relax_leafs(adjacency, rows_live[i], leafs_of(i), affect)
+
+        repaired = {"offset": int(np.count_nonzero(grouped)),
+                    "shared": 0, "planned": 0}
+        union_cache: Dict = {}
+        for i in np.flatnonzero(has_job & ~grouped).tolist():
+            row = rows_live[i]
+            lo, hi = root_at[i], root_at[i + 1]
+            roots = root_child[lo:hi].tolist()
+            owners = variant[lo:hi].tolist()
+            row_hits = [regions[g] for g in owners if g >= 0]
+            if row_hits:
+                walk_roots = [c for c, g in zip(roots, owners) if g < 0]
+                offset = _repair_row_shared(
+                    adjacency, row, row_hits, walk_roots, leafs_of(i),
+                    union_cache,
+                )
+                repaired["offset" if offset else "shared"] += 1
+            else:
+                _repair_row_planned(adjacency, row, roots, leafs_of(i))
+                repaired["planned"] += 1
+        for row in rows_live:
             row.stale = True
             row.used = False
 
@@ -2680,54 +2832,74 @@ class FrozenOracle:
         # interval's installs).
         rows.enforce()
         if mx:
+            for path, amount in repaired.items():
+                if amount:
+                    mx.inc("oracle.repair.rows", amount, path=path)
             mx.span("oracle.repair", t0, mode="planned",
-                    trace_args={"live": live, "repaired": repaired})
+                    trace_args={"live": count,
+                                "repaired": sum(repaired.values())})
 
     def _resolve_shared(
         self,
         adjacency: List[Tuple[Tuple[float, int], ...]],
-        row: _Row,
-        roots: List[int],
-        groups: Dict[int, List[_SharedRegion]],
-    ) -> Tuple[List[_SharedRegion], List[int]]:
-        """Split a row's detached roots into shared-region hits and walks.
+        live: _LiveRows,
+        root_row: np.ndarray,
+        root_child: np.ndarray,
+        variant: np.ndarray,
+    ) -> List[_SharedRegion]:
+        """Group the dense roots' rows by detached region.
 
-        A dense root joins the first group variant whose region matches
-        the row's subtree; a non-matching row founds a new variant from
-        its own walk (the "region signature" grouping: same detached
-        child, same detached node set) until
-        :data:`_PLANNER_SHARE_MAX_VARIANTS`, after which it falls back
-        to the per-row walk.  Non-dense roots always walk.  Groups are
-        keyed by the detached child alone -- a child's region is its
-        subtree regardless of which changed pair detached it, so two
-        changed pairs sharing a child pool their rows (and their density
-        count) into one group.
+        ``root_row``/``root_child`` are the planner's general jobs (see
+        :meth:`_LiveRows.route`).  A child detached in at least
+        :data:`PLANNER_SHARE_MIN_ROWS` rows and
+        :data:`PLANNER_SHARE_DENSITY` of the live rows is *dense* and
+        gets a group, keyed by the child alone -- a child's region is its
+        subtree regardless of which changed pair detached it.  The
+        group's first row in store order founds variant 0 from its own
+        walk; one whole-block :meth:`_SharedRegion.match_rows` pass per
+        variant then claims every member row whose subtree is that
+        region, and the first unclaimed row founds the next variant, up
+        to :data:`_PLANNER_SHARE_MAX_VARIANTS` (the "region signature"
+        grouping: same detached child, same detached node set).  Each
+        row so joins the first variant in founding order that matches
+        it, and variants are founded in the same order as a row-by-row
+        scan would found them.
+
+        Returns the regions; ``variant[j]`` is set to the index of job
+        ``j``'s region, and stays ``-1`` for a job that walks per row (a
+        non-dense root, or a row no variant claimed).
         """
-        hits: List[_SharedRegion] = []
-        walk_roots: List[int] = []
-        seen: set = set()
-        parent = row.parent
+        children, first, sizes = np.unique(
+            root_child, return_index=True, return_counts=True
+        )
+        threshold = max(
+            PLANNER_SHARE_MIN_ROWS, PLANNER_SHARE_DENSITY * len(live.rows)
+        )
+        dense = np.flatnonzero(sizes >= threshold)
+        mx = self._metrics
         n = len(adjacency)
-        for c in roots:
-            if c in seen:
-                continue  # duplicate root: one region either way
-            seen.add(c)
-            variants = groups.get(c)
-            if variants is None:
-                walk_roots.append(c)
-                continue
-            for region in variants:
-                if region.matches(parent):
-                    hits.append(region)
+        regions: List[_SharedRegion] = []
+        for d in dense[np.argsort(first[dense])].tolist():
+            c = int(children[d])
+            if mx:
+                # Region-share group sizes: rows per dense root.
+                mx.observe("oracle.repair.share_group_rows", int(sizes[d]))
+            jobs = np.flatnonzero(root_child == c)
+            for _ in range(_PLANNER_SHARE_MAX_VARIANTS):
+                if not jobs.size:
                     break
-            else:
-                if len(variants) < _PLANNER_SHARE_MAX_VARIANTS:
-                    region = _SharedRegion(adjacency, parent, c, n)
-                    variants.append(region)
-                    hits.append(region)
-                else:
-                    walk_roots.append(c)
-        return hits, walk_roots
+                members = root_row[jobs]
+                region = _SharedRegion(
+                    adjacency, live.rows[members[0]].parent, c, n
+                )
+                ok = np.empty(jobs.size, dtype=bool)
+                for block, pos, slots in live.parts(members):
+                    ok[pos] = region.match_rows(block.parent, slots)
+                ok[0] = True  # the founding row's own subtree
+                variant[jobs[ok]] = len(regions)
+                regions.append(region)
+                jobs = jobs[~ok]
+        return regions
 
     def rebased(
         self, graph: Graph, changed: Mapping[Tuple[Node, Node], float]
@@ -2773,19 +2945,19 @@ class FrozenOracle:
                 row = self._rows[source_id]
                 if not clone._rows.would_fit(row):
                     continue  # seed only what fits the clone's budget
-                # Deep copies: patching repairs row arrays in place, and
-                # the original oracle must keep serving its own graph.
-                # Full slices of the label buffers stay buffers.
-                dup = _Row(
-                    row.dist[:],
-                    row.parent[:],
+                # Copies into the clone's own arena: patching repairs
+                # labels in place, and the original oracle must keep
+                # serving its own graph (a slice of ``row.dist`` would
+                # alias this oracle's block).
+                dup = clone._freeze_row(
+                    _f8(row.dist),
+                    _i8(row.parent),
                     None if row.settled is None else bytearray(row.settled),
                     row.full,
                 )
                 dup.stale = row.stale
                 dup.cutoff = row.cutoff
                 dup.used = row.used
-                # children stays None: rebuilt lazily, never shared.
                 clone._rows[source_id] = dup
         clone.patch_edge_costs(changed)
         return clone

@@ -30,18 +30,43 @@ Byte model
 Sizes are **deterministic and platform-independent** (no
 ``sys.getsizeof``): 8 bytes per distance entry, 8 per parent entry, 1
 per settled byte, plus :data:`ROW_OVERHEAD_BYTES` per row.  That is
-near-exact for the oracle's ``array('d')``/``array('q')`` label
-buffers -- the budget is a *residency model*, not an RSS cap, and the
+exact for a row's arena slot (one ``float64`` and one ``int64`` per
+node) -- the budget is a *residency model*, not an RSS cap, and the
 model is chosen so budgeted runs behave identically across platforms.
 Per-patch shared-region caches are transient and never survive a
 patch, so they are not accounted.
+
+Row arena
+---------
+The label buffers themselves live in the cache's *arena*: fixed-size
+2-D :class:`RowBlock` pairs (``float64`` distances, ``int64`` parents)
+holding one row per slot, so the repair engine can update a shared
+region for many rows with whole-block numpy operations.  A block holds
+about :data:`BLOCK_SLOTS` labels (:meth:`RowCache.block_rows` rows), is
+allocated when no block of the row width has a free slot, and is
+released once its last slot is freed; blocks never grow, so no install
+ever copies another row.  Dropping a row from the store (delete,
+replace, evict, :meth:`RowCache.clear`) frees its slot and detaches the
+row's label views, so a dropped row can never read a recycled slot.
+The byte model above is unchanged: it counts the slots in use, not the
+blocks.  Block slack is not accounted but is bounded: a block is about
+4 MB, new rows fill freed slots before any new block opens, and the
+pages of slots never written are never touched.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["RowCache", "ROW_OVERHEAD_BYTES", "row_nbytes"]
+import numpy as np
+
+__all__ = ["BLOCK_SLOTS", "RowBlock", "RowCache", "ROW_OVERHEAD_BYTES",
+           "row_nbytes"]
+
+#: Label slots (rows x row width) per arena block: 2 MB of distances
+#: plus 2 MB of parents, whatever the graph size -- 211 rows per block
+#: at 1241 nodes, 5 at 50k nodes.
+BLOCK_SLOTS = 1 << 18
 
 #: Fixed accounting overhead per resident row: the ``_Row`` object, its
 #: slot pointers and the store's per-entry bookkeeping.  A deterministic
@@ -63,6 +88,25 @@ def row_nbytes(num_nodes: int, settled: bool = True) -> int:
     return 16 * n + (n if settled else 0) + ROW_OVERHEAD_BYTES
 
 
+class RowBlock:
+    """One arena block: ``rows`` label slots of width ``width``.
+
+    ``dist``/``parent`` are C-contiguous ``(rows, width)`` arrays; slot
+    ``k`` is row ``k`` of both.  ``free`` lists the unused slots, lowest
+    last, so :meth:`RowCache.alloc` fills a block from slot 0 upwards.
+    Unused slots hold garbage: every install overwrites its whole slot.
+    """
+
+    __slots__ = ("index", "width", "dist", "parent", "free")
+
+    def __init__(self, index: int, rows: int, width: int) -> None:
+        self.index = index
+        self.width = width
+        self.dist = np.empty((rows, width), dtype=np.float64)
+        self.parent = np.empty((rows, width), dtype=np.int64)
+        self.free: List[int] = list(range(rows - 1, -1, -1))
+
+
 class RowCache(dict):
     """The oracle's row store with byte accounting and budgeted eviction.
 
@@ -77,6 +121,13 @@ class RowCache(dict):
     at the end of a patch) and :meth:`evict` for policy drops.  Counters
     are lifetime values -- :meth:`clear` (a full invalidate) resets
     residency, not history.
+
+    The cache also owns the row arena (see the module docstring):
+    :meth:`alloc` hands out a ``(block, slot)`` pair for a new row's
+    labels, and every path that drops a row frees its slot.  Rows carry
+    their slot as ``row.block``/``row.slot`` and their labels as
+    ``row.dist``/``row.parent``; a row whose ``block`` is ``None`` owns
+    no slot.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
@@ -112,6 +163,48 @@ class RowCache(dict):
         #: only under a budget (the unbounded tier pays nothing for it).
         self._tick = 0
         self._served: Dict[int, int] = {}
+        #: Arena blocks by index; a released block leaves a ``None``
+        #: hole that the next new block reuses.
+        self._blocks: List[Optional[RowBlock]] = []
+
+    # ------------------------------------------------------------------
+    # row arena
+    # ------------------------------------------------------------------
+    @staticmethod
+    def block_rows(width: int) -> int:
+        """Slots per arena block for rows of ``width`` labels."""
+        return max(1, BLOCK_SLOTS // max(1, width))
+
+    def alloc(self, width: int) -> Tuple[RowBlock, int]:
+        """A free ``(block, slot)`` for one row of ``width`` labels.
+
+        Fills the lowest-indexed block of that width with a free slot
+        first, and opens a new block only when every such block is full.
+        """
+        for block in self._blocks:
+            if block is not None and block.free and block.width == width:
+                return block, block.free.pop()
+        blocks = self._blocks
+        try:
+            index = blocks.index(None)
+        except ValueError:
+            index = len(blocks)
+            blocks.append(None)
+        block = blocks[index] = RowBlock(index, self.block_rows(width), width)
+        return block, block.free.pop()
+
+    def _release(self, row) -> None:
+        """Free ``row``'s slot and detach its label views."""
+        block = row.block
+        if block is None:
+            return
+        block.free.append(row.slot)
+        if len(block.free) == len(block.dist):
+            self._blocks[block.index] = None
+        row.block = None
+        row.slot = -1
+        row.dist = None
+        row.parent = None
 
     # ------------------------------------------------------------------
     # accounting model
@@ -144,6 +237,9 @@ class RowCache(dict):
         old = self._meta.get(source_id)
         if old is not None:
             self.total_bytes -= old[0]
+            previous = dict.__getitem__(self, source_id)
+            if previous is not row:
+                self._release(previous)
         nbytes = self._row_nbytes(row)
         self._meta[source_id] = (nbytes, self._recompute_cost(row))
         self.total_bytes += nbytes
@@ -152,9 +248,11 @@ class RowCache(dict):
         super().__setitem__(source_id, row)
 
     def __delitem__(self, source_id: int) -> None:
+        row = dict.__getitem__(self, source_id)
         super().__delitem__(source_id)
         self.total_bytes -= self._meta.pop(source_id)[0]
         self._served.pop(source_id, None)
+        self._release(row)
 
     def pop(self, source_id: int, *default):
         try:
@@ -181,6 +279,8 @@ class RowCache(dict):
 
     def clear(self) -> None:
         """Drop every row (a full invalidate -- not counted as eviction)."""
+        for row in self.values():
+            self._release(row)
         super().clear()
         self._meta.clear()
         self._served.clear()

@@ -1,11 +1,12 @@
-"""Array label rows: golden row state, offset solve and batched queries.
+"""Label rows: golden row state, offset solve and batched queries.
 
-Every cached oracle row stores its labels in ``array('d')``/``array('q')``
-buffers.  Plain-list rows were the historical reference representation;
-their full row state was recorded as sha256 digests (the ``_row_states``
-snapshot after every patch, then the final query counters) for fixed
-randomized op streams, and the array rows must reproduce those digests
-bit for bit.  Each stream also ends exact against a cold rebuild.
+Every cached oracle row stores its labels in a ``float64``/``int64``
+arena slot (earlier, ``array('d')``/``array('q')`` buffers).  Plain-list
+rows were the historical reference representation; their full row
+state was recorded as sha256 digests (the ``_row_states`` snapshot after
+every patch, then the final query counters) for fixed randomized op
+streams, and every later row layout must reproduce those digests bit
+for bit.  Each stream also ends exact against a cold rebuild.
 
 The single-boundary offset solve (summation-stable shared regions) and
 the batched query entry points (``distances_to``, ``detour_distances``)
@@ -15,8 +16,8 @@ in for.
 
 import hashlib
 import random
-from array import array
 
+import numpy as np
 import pytest
 
 from repro.graph import FrozenOracle, Graph
@@ -304,16 +305,23 @@ def test_offset_solve_unreachable_region():
 
 
 def test_vectorized_rows_store_arrays():
-    """Cached rows hold ``array('d')``/``array('q')`` label buffers whose
-    scalar reads stay plain Python numbers (no numpy scalar boxes)."""
+    """Cached rows serve plain Python numbers from scalar reads (no numpy
+    scalar boxes), and ``_f8``/``_i8`` wrap the same labels zero-copy,
+    whatever buffer type holds them."""
     rng = random.Random(7)
     graph = random_graph(rng)
     oracle = FrozenOracle(graph.copy())
     oracle.distances_from(0)
     row = next(iter(oracle._rows.values()))
-    assert type(row.dist) is array and row.dist.typecode == "d"
-    assert type(row.parent) is array and row.parent.typecode == "q"
     assert type(row.dist[0]) is float and type(row.parent[0]) is int
+    dview = indexed._f8(row.dist)
+    pview = indexed._i8(row.parent)
+    assert dview.dtype == np.float64 and pview.dtype == np.int64
+    assert dview.tolist() == list(row.dist)
+    assert pview.tolist() == list(row.parent)
+    node = len(dview) - 1
+    dview[node] += 1.0  # a write through the view is a write to the row
+    assert row.dist[node] == dview[node]
 
 
 # ----------------------------------------------------------------------
@@ -406,18 +414,30 @@ def test_detour_distances_matches_scalar():
 # ----------------------------------------------------------------------
 
 def test_rebased_clone_copies_array_rows():
-    """A rebased clone starts from deep copies that stay label buffers."""
+    """A rebased clone starts from copies: its rows share no memory with
+    the source's, and patching the clone leaves the source untouched."""
     rng = random.Random(3)
     graph = random_graph(rng)
     oracle = FrozenOracle(graph)
     oracle.distances_from(0)
+    oracle.distances_from(5)
     clone = oracle.rebased(graph.copy(), {})
-    assert _row_states(clone) == _row_states(oracle)
-    row = next(iter(clone._rows.values()))
-    source_row = next(iter(oracle._rows.values()))
-    assert type(row.dist) is array and type(row.parent) is array
-    assert row.dist is not source_row.dist
-    assert row.parent is not source_row.parent
+    before = _row_states(oracle)
+    assert _row_states(clone) == before
+    for sid, row in clone._rows.items():
+        source_row = oracle._rows[sid]
+        assert not np.shares_memory(indexed._f8(row.dist),
+                                    indexed._f8(source_row.dist))
+        assert not np.shares_memory(indexed._i8(row.parent),
+                                    indexed._i8(source_row.parent))
+    # Re-price a tree edge of row 0: the clone repairs, the source not.
+    row = oracle._rows[oracle.core.index[0]]
+    nodes = oracle.core.nodes
+    child = next(v for v in range(len(row.parent)) if row.parent[v] >= 0)
+    u, v = nodes[row.parent[child]], nodes[child]
+    clone.patch_edge_costs({(u, v): clone.graph.cost(u, v) * 3.0})
+    assert _row_states(clone) != before
+    assert _row_states(oracle) == before
 
 
 #: Per-request SOFDA costs of the churn run below, recorded on list rows.

@@ -50,6 +50,7 @@ class _FakeRow:
         self.used = used
         self.stale = False
         self.cutoff = 0.0
+        self.block = None  # owns no arena slot
 
 
 # ----------------------------------------------------------------------
